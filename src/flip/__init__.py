@@ -19,7 +19,7 @@ from .evaluation import (
     zero_shot_classify,
 )
 from .flops import FlopReport, count_flops
-from .masking import PatchMask, TextMask, complementary_views, sample_patch_mask, sample_text_mask
+from .masking import PatchMask, complementary_views, sample_patch_mask, sample_text_mask
 from .objective import EmbeddingBatch, LossBundle, info_nce, project_and_normalize, similarity_logits
 from .tokenizer import TokenizedBatch, Vocab, load_vocab, tokenize, tokenize_batch
 from .trainer import (

@@ -382,27 +382,12 @@ def _check_indices(idx: np.ndarray, n: int, require_unique: bool):
         raise IndexError("duplicate indices")
 
 
-def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows of a 2-D tensor by unique indices.
+def take_rows(x: Tensor, idx) -> Tensor:
+    """Select rows of a 2-D tensor; indices may repeat (embedding tables).
 
     Backward scatter-adds the output gradient into the selected rows and
     leaves every other row's gradient untouched (zero contribution).
     """
-    if x.data.ndim != 2:
-        raise DimensionError(f"gather_rows: needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    _check_indices(idx, x.shape[0], require_unique=True)
-    out = Tensor(x.data[idx])
-
-    def backward(g):
-        if x.requires_grad:
-            np.add.at(_grad_buffer(x), idx, g)
-
-    return _record(out, (x,), backward)
-
-
-def take_rows(x: Tensor, idx) -> Tensor:
-    """Row lookup allowing repeated indices (embedding tables)."""
     if x.data.ndim != 2:
         raise DimensionError(f"take_rows: needs a 2-D tensor, got {x.shape}")
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
@@ -466,16 +451,6 @@ def mean_over_axis(x: Tensor, axis: int) -> Tensor:
     def backward(g):
         if x.requires_grad:
             _accum(x, np.expand_dims(g, axis) / n)
-
-    return _record(out, (x,), backward)
-
-
-def sum_over_axis(x: Tensor, axis: int) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, np.expand_dims(g, axis))
 
     return _record(out, (x,), backward)
 
@@ -595,11 +570,6 @@ def _default_checks() -> dict[str, OpCheck]:
         OpCheck("logsumexp_rows", logsumexp_rows, lambda rng: ([t(rng, (3, 5))], {})),
         OpCheck("take_diagonal", take_diagonal, lambda rng: ([t(rng, (4, 4))], {})),
         OpCheck(
-            "gather_rows",
-            gather_rows,
-            lambda rng: ([t(rng, (10, 3))], {"idx": rng.permutation(10)[:4]}),
-        ),
-        OpCheck(
             "take_rows",
             take_rows,
             lambda rng: ([t(rng, (6, 3))], {"idx": rng.integers(0, 6, size=8)}),
@@ -615,9 +585,6 @@ def _default_checks() -> dict[str, OpCheck]:
         ),
         OpCheck(
             "mean_over_axis", mean_over_axis, lambda rng: ([t(rng, (3, 4))], {"axis": 0})
-        ),
-        OpCheck(
-            "sum_over_axis", sum_over_axis, lambda rng: ([t(rng, (3, 4))], {"axis": 1})
         ),
         OpCheck("mean_all", mean_all, lambda rng: ([t(rng, (3, 4))], {})),
         OpCheck("sum_all", sum_all, lambda rng: ([t(rng, (3, 4))], {})),

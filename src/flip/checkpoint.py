@@ -72,7 +72,10 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = take("<H")
-        name = raw[off : off + name_len].decode("utf-8")
+        try:
+            name = raw[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: tensor name is not UTF-8") from e
         off += name_len
         (ndim,) = take("<B")
         shape = take(f"<{ndim}I") if ndim else ()

@@ -5,8 +5,8 @@ shapes = 16 classes) at a random position and size on a noisy gray
 background, captioned from a small template pool that shares its
 vocabulary with the zero-shot prompts. Records are deterministic per
 (seed, index): class cycles through all 16, everything else is drawn
-from a counter-seeded generator, so generation order (or parallelism)
-never changes the bytes.
+from a counter-seeded generator, so generation order never changes the
+bytes.
 
 File layout (little-endian): magic "FLIPDS01", count u32, height u16,
 width u16, channels u8, then per record the raw u8 RGB image in
@@ -15,9 +15,7 @@ row-major order, a caption byte length u16, and the UTF-8 caption.
 
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +47,6 @@ CAPTION_TEMPLATES = (
     "the {}",
     "a photo of the {}",
 )
-
-
-def flip_threads() -> int:
-    """Worker-thread cap from FLIP_THREADS (default: machine cores)."""
-    value = os.environ.get("FLIP_THREADS", "")
-    return int(value) if value else (os.cpu_count() or 1)
 
 
 @dataclass
@@ -126,23 +118,13 @@ def make_record(seed: int, index: int) -> tuple[np.ndarray, str]:
 
 
 def generate_dataset(n: int, seed: int, out_path) -> Dataset:
-    """Generate n records (threaded over indices) and write them to disk."""
+    """Generate n records and write them to disk."""
     if n <= 0:
         raise ConfigError(f"dataset size must be positive, got {n}")
     images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.uint8)
     captions: list[str] = [""] * n
-
-    def fill(index: int):
-        images[index], captions[index] = make_record(seed, index)
-
-    workers = min(flip_threads(), n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n)))
-    else:
-        for i in range(n):
-            fill(i)
-
+    for i in range(n):
+        images[i], captions[i] = make_record(seed, i)
     ds = Dataset(images=images, captions=captions)
     write_dataset(out_path, ds)
     return ds
@@ -176,6 +158,9 @@ def read_dataset(path) -> Dataset:
         raise DataFormatError(f"{path}: truncated header") from e
     off += struct.calcsize("<IHHB")
     img_bytes = h * w * c
+    if n * (img_bytes + 2) > len(raw) - off:
+        raise DataFormatError(f"{path}: header claims {n} records of {h}x{w}x{c}, "
+                              f"but only {len(raw) - off} bytes follow")
     images = np.empty((n, h, w, c), dtype=np.uint8)
     captions: list[str] = []
     for i in range(n):
@@ -187,7 +172,10 @@ def read_dataset(path) -> Dataset:
         off += 2
         if off + cap_len > len(raw):
             raise DataFormatError(f"{path}: truncated caption in record {i}")
-        caption = raw[off : off + cap_len].decode("utf-8")
+        try:
+            caption = raw[off : off + cap_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: caption of record {i} is not UTF-8") from e
         if not caption:
             raise DataFormatError(f"{path}: empty caption in record {i}")
         captions.append(caption)

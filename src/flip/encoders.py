@@ -25,7 +25,7 @@ from scipy.stats import truncnorm
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
-from .masking import PatchMask, TextMask, full_mask, per_sample_rng, TAG_INIT
+from .masking import PatchMask, full_mask, per_sample_rng, TAG_INIT
 from .tokenizer import TokenizedBatch, default_vocab
 
 ATTN_MASK_VALUE = -1e9
@@ -308,7 +308,7 @@ def encode_image(
 
 def encode_text(
     batch: TokenizedBatch,
-    mask: TextMask | None,
+    mask: PatchMask | None,
     params: dict,
     config: EncoderConfig,
 ) -> Tensor:
@@ -324,9 +324,7 @@ def encode_text(
     if length != txt.seq_len:
         raise DimensionError(f"sequence length {length} != configured {txt.seq_len}")
     if mask is None:
-        fm = full_mask(length, b)
-        mask = TextMask(ratio=0.0, visible=fm.visible, hidden=fm.hidden,
-                        n_total=length, policy="none")
+        mask = full_mask(length, b)
     _check_mask(mask, length, "token")
     v = mask.n_visible
 

@@ -5,7 +5,10 @@ hidden complement. Visible counts use round((1 - ratio) * n) with
 ties-to-even, which lands exactly on the usual ratios for 16 and 196
 patches. Sampling is seedable and per-sample independent; trainers use
 counter-based seeds (global seed, stage tag, epoch, sample index) so
-evaluation order and parallelism never change the draw.
+evaluation order and parallelism never change the draw. The two entry
+points of each kind (``sample_*`` and ``*_for_samples``) differ only in
+their per-row generators: one shared generator, or one per_sample_rng
+per dataset index.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ class PatchMask:
         return self.visible.shape[1]
 
 
-@dataclass
-class TextMask(PatchMask):
-    policy: str = "none"
-
-
 def _split_visible(n: int, v: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     return np.sort(perm[:v]), np.sort(perm[v:])
@@ -76,30 +74,38 @@ def full_mask(n: int, batch_size: int = 1) -> PatchMask:
     return PatchMask(ratio=0.0, visible=idx, hidden=empty, n_total=n)
 
 
+def _counter_rngs(global_seed: int, tag: int, epoch: int, sample_indices) -> list:
+    return [per_sample_rng(global_seed, tag, epoch, int(idx))
+            for idx in np.asarray(sample_indices, dtype=np.int64)]
+
+
+def _draw_rows(n: int, ratio: float, rngs, draw_row) -> PatchMask:
+    """Row b is draw_row(b, v, rngs[b]): its v visible and n - v hidden indices."""
+    v = visible_count(n, ratio)
+    vis = np.empty((len(rngs), v), dtype=np.int64)
+    hid = np.empty((len(rngs), n - v), dtype=np.int64)
+    for b, rng in enumerate(rngs):
+        vis[b], hid[b] = draw_row(b, v, rng)
+    return PatchMask(ratio=ratio, visible=vis, hidden=hid, n_total=n)
+
+
+def _uniform_rows(n: int, ratio: float, rngs) -> PatchMask:
+    return _draw_rows(n, ratio, rngs, lambda b, v, rng: _split_visible(n, v, rng))
+
+
 def sample_patch_mask(
     n: int, ratio: float, rng: np.random.Generator, batch_size: int = 1
 ) -> PatchMask:
     """Uniform per-sample mask: keep round((1-ratio)*n) positions visible."""
-    v = visible_count(n, ratio)
-    vis = np.empty((batch_size, v), dtype=np.int64)
-    hid = np.empty((batch_size, n - v), dtype=np.int64)
-    for b in range(batch_size):
-        vis[b], hid[b] = _split_visible(n, v, rng)
-    return PatchMask(ratio=ratio, visible=vis, hidden=hid, n_total=n)
+    return _uniform_rows(n, ratio, [rng] * batch_size)
 
 
 def patch_masks_for_samples(
     n: int, ratio: float, global_seed: int, epoch: int, sample_indices
 ) -> PatchMask:
     """Counter-seeded batch mask: one independent draw per dataset index."""
-    sample_indices = np.asarray(sample_indices, dtype=np.int64)
-    v = visible_count(n, ratio)
-    vis = np.empty((len(sample_indices), v), dtype=np.int64)
-    hid = np.empty((len(sample_indices), n - v), dtype=np.int64)
-    for b, idx in enumerate(sample_indices):
-        rng = per_sample_rng(global_seed, TAG_PATCH_MASK, epoch, int(idx))
-        vis[b], hid[b] = _split_visible(n, v, rng)
-    return PatchMask(ratio=ratio, visible=vis, hidden=hid, n_total=n)
+    return _uniform_rows(n, ratio,
+                         _counter_rngs(global_seed, TAG_PATCH_MASK, epoch, sample_indices))
 
 
 def _prioritized_row(length, valid_len, mask_count, rng):
@@ -114,12 +120,20 @@ def _prioritized_row(length, valid_len, mask_count, rng):
     return vis, masked
 
 
+def _text_rows(batch: TokenizedBatch, ratio: float, policy: str, rngs) -> PatchMask:
+    length = batch.seq_len
+    if policy == "random":
+        return _uniform_rows(length, ratio, rngs)
+    return _draw_rows(length, ratio, rngs, lambda b, v, rng: _prioritized_row(
+        length, int(batch.valid_lengths[b]), length - v, rng))
+
+
 def sample_text_mask(
     batch: TokenizedBatch,
     ratio: float,
     policy: str,
     rng: np.random.Generator | None = None,
-) -> TextMask:
+) -> PatchMask:
     """Token mask over a tokenized batch.
 
     ``random`` draws uniformly over all positions. ``prioritized`` masks
@@ -130,23 +144,11 @@ def sample_text_mask(
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown text mask policy {policy!r}, expected one of {POLICIES}")
-    length = batch.seq_len
     if policy == "none":
-        m = full_mask(length, batch.batch_size)
-        return TextMask(ratio=0.0, visible=m.visible, hidden=m.hidden,
-                        n_total=length, policy=policy)
+        return full_mask(batch.seq_len, batch.batch_size)
     if rng is None:
         raise ConfigError(f"policy {policy!r} needs an rng")
-    v = visible_count(length, ratio)
-    vis = np.empty((batch.batch_size, v), dtype=np.int64)
-    hid = np.empty((batch.batch_size, length - v), dtype=np.int64)
-    for b in range(batch.batch_size):
-        if policy == "random":
-            vis[b], hid[b] = _split_visible(length, v, rng)
-        else:
-            vis[b], hid[b] = _prioritized_row(length, int(batch.valid_lengths[b]),
-                                              length - v, rng)
-    return TextMask(ratio=ratio, visible=vis, hidden=hid, n_total=length, policy=policy)
+    return _text_rows(batch, ratio, policy, [rng] * batch.batch_size)
 
 
 def text_masks_for_samples(
@@ -156,22 +158,12 @@ def text_masks_for_samples(
     global_seed: int,
     epoch: int,
     sample_indices,
-) -> TextMask:
+) -> PatchMask:
     """Counter-seeded variant of sample_text_mask (one draw per dataset index)."""
-    if policy == "none":
+    if policy not in ("random", "prioritized"):  # "none" builds no generator; unknown raises
         return sample_text_mask(batch, ratio, policy)
-    length = batch.seq_len
-    v = visible_count(length, ratio)
-    vis = np.empty((batch.batch_size, v), dtype=np.int64)
-    hid = np.empty((batch.batch_size, length - v), dtype=np.int64)
-    for b, idx in enumerate(np.asarray(sample_indices, dtype=np.int64)):
-        rng = per_sample_rng(global_seed, TAG_TEXT_MASK, epoch, int(idx))
-        if policy == "random":
-            vis[b], hid[b] = _split_visible(length, v, rng)
-        else:
-            vis[b], hid[b] = _prioritized_row(length, int(batch.valid_lengths[b]),
-                                              length - v, rng)
-    return TextMask(ratio=ratio, visible=vis, hidden=hid, n_total=length, policy=policy)
+    return _text_rows(batch, ratio, policy,
+                      _counter_rngs(global_seed, TAG_TEXT_MASK, epoch, sample_indices))
 
 
 def complementary_views(

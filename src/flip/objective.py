@@ -143,7 +143,7 @@ def reconstruction_loss(
     pred = ad.add(
         ad.matmul(ad.reshape(x, (b * n, dd)), params["dec/out/w"]), params["dec/out/b"]
     )
-    pred_hidden = ad.gather_rows(pred, flat_hid)
+    pred_hidden = ad.take_rows(pred, flat_hid)
 
     targets = normalize_patches(target_patches)[np.arange(b)[:, None], mask.hidden]
     diff = ad.sub(pred_hidden, Tensor(targets.reshape(b * nh, -1)))

@@ -83,7 +83,3 @@ def to_csv(points: list[TradeoffPoint]) -> str:
         wall = "" if p.wall_seconds is None else f"{p.wall_seconds}"
         lines.append(f"{p.run},{p.samples},{p.compute_flops},{p.metric},{p.value},{wall}")
     return "\n".join(lines) + "\n"
-
-
-def to_json(points: list[TradeoffPoint]) -> str:
-    return json.dumps([p.__dict__ for p in points], indent=2)

@@ -60,21 +60,21 @@ class TestForwardValues:
         out = ad.mean_over_axis(Tensor([[2.0, 4.0], [6.0, 8.0]]), axis=0)
         assert np.allclose(out.data, [4.0, 6.0])
 
-    def test_gather_rows_permutation_subset(self):
+    def test_take_rows_permutation_subset(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        out = ad.gather_rows(x, [2, 0])
+        out = ad.take_rows(x, [2, 0])
         assert np.array_equal(out.data, x.data[[2, 0]])
 
-    def test_gather_rows_identity(self):
+    def test_take_rows_identity(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        assert np.array_equal(ad.gather_rows(x, range(4)).data, x.data)
+        assert np.array_equal(ad.take_rows(x, range(4)).data, x.data)
 
-    def test_gather_rows_rejects_bad_indices(self):
+    def test_take_rows_rejects_bad_indices(self):
         x = Tensor(np.zeros((4, 2)))
         with pytest.raises(IndexError):
-            ad.gather_rows(x, [0, 4])
+            ad.take_rows(x, [0, 4])
         with pytest.raises(IndexError):
-            ad.gather_rows(x, [1, 1])
+            ad.take_rows(x, [-1])
 
     def test_logsumexp_matches_naive(self):
         x = np.random.default_rng(1).standard_normal((3, 5))
@@ -108,9 +108,9 @@ class TestGradients:
         report = ad.check_gradients(op, tolerance=1e-4, n_seeds=3)
         assert report.passed, str(report)
 
-    def test_gather_rows_grad_structure(self):
+    def test_take_rows_grad_structure(self):
         x = Tensor(np.random.default_rng(0).standard_normal((5, 3)), requires_grad=True)
-        backward_of(lambda: ad.sum_all(ad.gather_rows(x, [1])))
+        backward_of(lambda: ad.sum_all(ad.take_rows(x, [1])))
         expected = np.zeros((5, 3))
         expected[1] = 1.0
         assert np.array_equal(x.grad, expected)

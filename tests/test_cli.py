@@ -8,7 +8,7 @@ from flip.cli import main
 from flip.data import generate_dataset
 from flip.report import to_csv, tradeoff_report
 from flip.errors import ConfigError, DataFormatError
-from flip.trainer import TrainConfig, save_config
+from flip.trainer import TrainConfig, init_train_state, save_config, save_state
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,17 @@ class TestExitCodes:
             "eval", "--ckpt", str(tmp_path / "none.ckpt"),
             "--data", str(tmp_path / "none.flipds"), "--task", "zero-shot",
         ]) == 2
+
+    def test_eval_on_non_utf8_captions_is_data_error(self, tmp_path, capsys):
+        cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
+        save_state(tmp_path / "init.ckpt", init_train_state(cfg))
+        data = tmp_path / "bad.flipds"
+        generate_dataset(1, 0, data)
+        raw = data.read_bytes()
+        data.write_bytes(raw[:-1] + b"\xff")
+        assert main(["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data", str(data),
+                     "--task", "zero-shot"]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_gen_data_success(self, tmp_path):
         out = tmp_path / "g.flipds"

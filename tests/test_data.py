@@ -1,11 +1,14 @@
 """Generator determinism, class structure, and the binary container."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from flip.data import (
     CLASS_NAMES,
     COLORS,
+    MAGIC,
     Dataset,
     SHAPES,
     class_of_caption,
@@ -102,19 +105,18 @@ class TestContainer:
         with pytest.raises(OSError):
             write_dataset("/nonexistent-dir/x.flipds", ds)
 
-    def test_thread_count_env(self, monkeypatch):
-        from flip.data import flip_threads
+    def test_non_utf8_caption_rejected(self, tmp_path):
+        path = tmp_path / "x.flipds"
+        write_dataset(path, Dataset(images=np.zeros((1, 2, 2, 3), dtype=np.uint8),
+                                    captions=["a red circle"]))
+        path.write_bytes(path.read_bytes().replace(b"circle", b"\xff\xfercle"))
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            read_dataset(path)
 
-        monkeypatch.setenv("FLIP_THREADS", "3")
-        assert flip_threads() == 3
-        monkeypatch.delenv("FLIP_THREADS")
-        assert flip_threads() >= 1
-
-    def test_parallel_generation_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FLIP_THREADS", "4")
-        a = generate_dataset(32, 9, tmp_path / "p.flipds")
-        monkeypatch.setenv("FLIP_THREADS", "1")
-        b = generate_dataset(32, 9, tmp_path / "s.flipds")
-        assert a.images.tobytes() == b.images.tobytes()
-        assert a.captions == b.captions
-        assert (tmp_path / "p.flipds").read_bytes() == (tmp_path / "s.flipds").read_bytes()
+    @pytest.mark.parametrize("header", [(2**32 - 1, 2**16 - 1, 2**16 - 1, 255),
+                                        (4_000_000, 32, 32, 3)])
+    def test_header_beyond_file_length_rejected_before_allocating(self, tmp_path, header):
+        path = tmp_path / "huge.flipds"
+        path.write_bytes(MAGIC + struct.pack("<IHHB", *header) + b"\x00" * 3074)
+        with pytest.raises(DataFormatError, match="header claims"):
+            read_dataset(path)

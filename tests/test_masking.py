@@ -144,3 +144,73 @@ class TestTextMask:
         batch = make_batch(20, batch_size=50)
         m = masking.sample_text_mask(batch, 0.5, "prioritized", np.random.default_rng(1))
         assert_mask_invariants(m)
+
+
+def make_ragged_batch():
+    """Three length-8 rows with 3, 6 and 8 valid tokens."""
+    ids = np.zeros((3, 8), dtype=np.int64)
+    valid = np.array([3, 6, 8], dtype=np.int64)
+    for b, n in enumerate(valid):
+        ids[b, :n] = 5
+    return TokenizedBatch(token_ids=ids, valid_lengths=valid)
+
+
+class TestGoldenDraws:
+    """Visible indices pinned so a sampler rewrite cannot change any draw."""
+
+    def test_patch_masks_for_samples(self):
+        m = masking.patch_masks_for_samples(16, 0.75, 11, 2, [4, 9, 0])
+        assert m.visible.tolist() == [[2, 4, 8, 14], [5, 6, 8, 11], [9, 12, 13, 14]]
+
+    def test_text_masks_for_samples(self):
+        batch = make_ragged_batch()
+        rand = masking.text_masks_for_samples(batch, 0.5, "random", 11, 3, [7, 1, 5])
+        prio = masking.text_masks_for_samples(batch, 0.5, "prioritized", 11, 3, [7, 1, 5])
+        assert rand.visible.tolist() == [[2, 3, 4, 5], [2, 3, 5, 6], [0, 3, 6, 7]]
+        assert prio.visible.tolist() == [[0, 1, 2, 5], [1, 2, 4, 5], [0, 1, 5, 7]]
+
+    def test_sample_patch_mask_shared_generator(self):
+        m = masking.sample_patch_mask(16, 0.75, np.random.default_rng(5), batch_size=3)
+        assert m.visible.tolist() == [[1, 3, 7, 11], [2, 4, 7, 9], [0, 1, 9, 14]]
+
+    def test_sample_text_mask_shared_generator(self):
+        batch = make_ragged_batch()
+        rand = masking.sample_text_mask(batch, 0.5, "random", np.random.default_rng(5))
+        prio = masking.sample_text_mask(batch, 0.5, "prioritized", np.random.default_rng(5))
+        assert rand.visible.tolist() == [[1, 2, 3, 4], [0, 1, 3, 6], [2, 3, 6, 7]]
+        assert prio.visible.tolist() == [[0, 1, 2, 6], [0, 2, 3, 4], [0, 4, 5, 6]]
+
+
+class TestCounterSeededRows:
+    """Row b of a counter-seeded mask is the single-generator draw made with
+    per_sample_rng(seed, tag, epoch, idx[b])."""
+
+    SEED, EPOCH, IDX = 4, 1, [12, 0, 7, 3]
+
+    def rng_for(self, tag, idx):
+        return masking.per_sample_rng(self.SEED, tag, self.EPOCH, idx)
+
+    def test_patch_rows(self):
+        m = masking.patch_masks_for_samples(16, 0.5, self.SEED, self.EPOCH, self.IDX)
+        for b, idx in enumerate(self.IDX):
+            one = masking.sample_patch_mask(16, 0.5, self.rng_for(masking.TAG_PATCH_MASK, idx))
+            assert np.array_equal(m.visible[b], one.visible[0])
+            assert np.array_equal(m.hidden[b], one.hidden[0])
+
+    @pytest.mark.parametrize("policy", ["random", "prioritized"])
+    def test_text_rows(self, policy):
+        batch = make_batch(20, batch_size=len(self.IDX))
+        batch.valid_lengths[:] = [20, 3, 32, 11]
+        m = masking.text_masks_for_samples(batch, 0.5, policy, self.SEED, self.EPOCH, self.IDX)
+        for b, idx in enumerate(self.IDX):
+            row = TokenizedBatch(token_ids=batch.token_ids[b : b + 1],
+                                 valid_lengths=batch.valid_lengths[b : b + 1])
+            one = masking.sample_text_mask(row, 0.5, policy,
+                                           self.rng_for(masking.TAG_TEXT_MASK, idx))
+            assert np.array_equal(m.visible[b], one.visible[0])
+            assert np.array_equal(m.hidden[b], one.hidden[0])
+
+    def test_policy_none_is_full(self):
+        m = masking.text_masks_for_samples(make_batch(5, batch_size=2), 0.5, "none",
+                                           self.SEED, self.EPOCH, [0, 1])
+        assert m.ratio == 0.0 and m.n_visible == 32 and m.hidden.shape == (2, 0)

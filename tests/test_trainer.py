@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flip.checkpoint import load_tensors, save_tensors
 from flip.data import generate_dataset
 from flip.errors import ConfigError, DataFormatError
 from flip.objective import MAX_LOGIT_SCALE
@@ -225,6 +226,13 @@ class TestDeterminismAndCheckpoints:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(DataFormatError):
             load_state(path)
+
+    def test_checkpoint_rejects_non_utf8_name(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_tensors(path, {"param/w": np.zeros(2)})
+        path.write_bytes(path.read_bytes().replace(b"param/w", b"param/\xff"))
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            load_tensors(path)
 
     def test_geometry_restored_without_config(self, tiny_dataset, tmp_path):
         state = init_train_state(desk_config(warmup_samples=0, total_samples=64))
