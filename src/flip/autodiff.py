@@ -32,11 +32,6 @@ _INV_SQRT2PI = 0.3989422804014327
 _default_dtype = np.float32
 
 
-def default_dtype():
-    """Dtype used for new tensors (float32, or float64 in verification mode)."""
-    return _default_dtype
-
-
 @contextlib.contextmanager
 def verification_mode():
     """Compute in float64 within the block. Used by gradient checks."""
@@ -72,9 +67,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -83,9 +75,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, dtype=None) -> Tensor:
+def parameter(data) -> Tensor:
     """Leaf tensor tracked for gradients."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
+    return Tensor(data, requires_grad=True)
 
 
 class _Node:
@@ -632,10 +624,7 @@ def check_gradients(
                 value, out = loss_value()
                 if not out.requires_grad:  # op has no tracked inputs
                     continue
-                out.grad = np.asarray(weights, dtype=out.data.dtype).copy()
-                for node in reversed(graph.nodes):
-                    if node.output.grad is not None:
-                        node.backward_fn(node.output.grad)
+                graph.backward(sum_all(mul(out, Tensor(weights))))
 
             for i, inp in enumerate(inputs):
                 analytic = inp.grad.copy()

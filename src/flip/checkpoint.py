@@ -13,6 +13,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -79,7 +80,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         off += name_len
         (ndim,) = take("<B")
         shape = take(f"<{ndim}I") if ndim else ()
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # Python ints: u32 dims must not wrap
         nbytes = 4 * n
         if off + nbytes > len(raw):
             raise DataFormatError(f"{path}: truncated tensor data for {name!r}")

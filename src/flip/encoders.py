@@ -31,6 +31,8 @@ from .tokenizer import TokenizedBatch, default_vocab
 ATTN_MASK_VALUE = -1e9
 INIT_STD = 0.02
 MLP_RATIO = 4
+DECODER_LAYERS = 2  # reconstruction decoder depth, MAE-style
+LOGIT_SCALE_INIT = math.log(1.0 / 0.07)  # learnable temperature, log space
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ def unpatchify(patches: np.ndarray, patch_size: int, image_size: int) -> np.ndar
 # parameters
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
-    return truncnorm.rvs(-2.0, 2.0, scale=std, size=shape, random_state=rng)
+def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return truncnorm.rvs(-2.0, 2.0, scale=INIT_STD, size=shape, random_state=rng)
 
 
 def _tower_block_params(params, prefix, width, rng):
@@ -178,7 +180,6 @@ def _tower_block_params(params, prefix, width, rng):
 
 def init_params(
     config: EncoderConfig, seed: int = 0, with_decoder: bool = False,
-    decoder_layers: int = 2,
 ) -> dict[str, Tensor]:
     """Fresh parameter set: truncated-normal (0.02) projections, zero biases,
     unit gains, learnable temperature at log(1/0.07)."""
@@ -203,7 +204,7 @@ def init_params(
 
     params["proj/img/w"] = ad.parameter(_trunc_normal(rng, (img.width, config.embed_dim)))
     params["proj/txt/w"] = ad.parameter(_trunc_normal(rng, (txt.width, config.embed_dim)))
-    params["logit_scale"] = ad.parameter(np.full(1, math.log(1.0 / 0.07)))
+    params["logit_scale"] = ad.parameter(np.full(1, LOGIT_SCALE_INIT))
 
     if with_decoder:
         dd = img.width // 2
@@ -213,7 +214,7 @@ def init_params(
         params["dec/embed/b"] = ad.parameter(np.zeros(dd))
         params["dec/mask_token"] = ad.parameter(_trunc_normal(rng, (1, dd)))
         params["dec/pos"] = ad.parameter(_trunc_normal(rng, (img.num_patches, dd)))
-        for i in range(decoder_layers):
+        for i in range(DECODER_LAYERS):
             _tower_block_params(params, f"dec/blk{i}", dd, rng)
         params["dec/ln_f/g"] = ad.parameter(np.ones(dd))
         params["dec/ln_f/b"] = ad.parameter(np.zeros(dd))

@@ -23,7 +23,7 @@ from .encoders import EncoderConfig, encode_image, encode_text, patchify
 from .errors import ConfigError
 from .masking import TAG_EVAL, complementary_views, per_sample_rng, sample_patch_mask
 from .objective import project_and_normalize
-from .tokenizer import Vocab, default_vocab, tokenize_batch
+from .tokenizer import tokenize_batch
 
 EVAL_BATCH = 128
 
@@ -53,13 +53,13 @@ class PromptSet:
             raise ConfigError("prompt set needs at least one template and one class")
 
 
-def desk_prompts(classes=CLASS_NAMES) -> PromptSet:
-    """The 7 templates used for the synthetic shapes domain.
+def desk_prompts() -> PromptSet:
+    """The 7 templates over the 16 classes of the synthetic shapes domain.
 
     Runs on real data should import the published prompt set of the
     target benchmark instead.
     """
-    return PromptSet(templates=DESK_TEMPLATES, classes=tuple(classes))
+    return PromptSet(templates=DESK_TEMPLATES, classes=CLASS_NAMES)
 
 
 @dataclass
@@ -85,15 +85,13 @@ def config_hash(*parts) -> str:
 # embedding extraction (no autodiff tape)
 
 
-def embed_images(
-    params, config: EncoderConfig, images: np.ndarray, mask=None, batch=EVAL_BATCH
-) -> np.ndarray:
+def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
     """Normalized image embeddings, in row order, computed in chunks."""
     if images.dtype == np.uint8:
         images = images.astype(np.float32) / 255.0
     out = []
-    for lo in range(0, images.shape[0], batch):
-        chunk = patchify(images[lo : lo + batch], config.image.patch_size)
+    for lo in range(0, images.shape[0], EVAL_BATCH):
+        chunk = patchify(images[lo : lo + EVAL_BATCH], config.image.patch_size)
         m = None
         if mask is not None:
             m = _slice_mask(mask, lo, lo + chunk.shape[0])
@@ -110,15 +108,11 @@ def _slice_mask(mask, lo, hi):
                      hidden=mask.hidden[lo:hi], n_total=mask.n_total)
 
 
-def embed_texts(
-    params, config: EncoderConfig, captions, vocab: Optional[Vocab] = None,
-    batch=EVAL_BATCH,
-) -> np.ndarray:
+def embed_texts(params, config: EncoderConfig, captions) -> np.ndarray:
     """Normalized text embeddings with no masking."""
-    vocab = vocab or default_vocab()
     out = []
-    for lo in range(0, len(captions), batch):
-        tokens = tokenize_batch(captions[lo : lo + batch], vocab, config.text.seq_len)
+    for lo in range(0, len(captions), EVAL_BATCH):
+        tokens = tokenize_batch(captions[lo : lo + EVAL_BATCH], seq_len=config.text.seq_len)
         pooled = encode_text(tokens, None, params, config)
         emb = project_and_normalize(pooled, params["proj/txt/w"])
         out.append(emb.data)
@@ -129,16 +123,13 @@ def _renormalize(x: np.ndarray) -> np.ndarray:
     return x / (np.linalg.norm(x, axis=1, keepdims=True) + 1e-8)
 
 
-def class_embeddings(
-    classes, prompts: PromptSet, params, config: EncoderConfig,
-    vocab: Optional[Vocab] = None,
-) -> np.ndarray:
+def class_embeddings(classes, prompts: PromptSet, params, config: EncoderConfig) -> np.ndarray:
     """One embedding per class: mean of its filled-template embeddings,
     re-normalized."""
     if not len(classes):
         raise ConfigError("no classes given")
     captions = [t.format(c) for c in classes for t in prompts.templates]
-    emb = embed_texts(params, config, captions, vocab)
+    emb = embed_texts(params, config, captions)
     per_class = emb.reshape(len(classes), len(prompts.templates), -1).mean(axis=1)
     return _renormalize(per_class)
 
@@ -232,9 +223,9 @@ def linear_probe(
 
 def zero_shot_accuracy(
     params, config: EncoderConfig, dataset: Dataset, prompts: PromptSet,
-    image_emb: Optional[np.ndarray] = None, vocab: Optional[Vocab] = None,
+    image_emb: Optional[np.ndarray] = None,
 ) -> float:
-    class_emb = class_embeddings(prompts.classes, prompts, params, config, vocab)
+    class_emb = class_embeddings(prompts.classes, prompts, params, config)
     if image_emb is None:
         image_emb = embed_images(params, config, dataset.images)
     return accuracy(zero_shot_classify(image_emb, class_emb), dataset.labels)
@@ -246,7 +237,6 @@ def eval_inference_modes(
     dataset: Dataset,
     ratio: float,
     prompts: Optional[PromptSet] = None,
-    vocab: Optional[Vocab] = None,
     seed: int = 0,
 ) -> list[EvalReport]:
     """Zero-shot accuracy under full, masked, and ensemble inference.
@@ -259,7 +249,7 @@ def eval_inference_modes(
     prompts = prompts or desk_prompts()
     n = len(dataset)
     n_patches = config.image.num_patches
-    class_emb = class_embeddings(prompts.classes, prompts, params, config, vocab)
+    class_emb = class_embeddings(prompts.classes, prompts, params, config)
     labels = dataset.labels
     cfg_hash = config_hash(config, ratio, seed, "modes")
 

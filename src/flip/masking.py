@@ -183,16 +183,10 @@ def complementary_views(
     if n % k != 0:
         raise ConfigError(f"{k} views do not evenly partition {n} positions")
     m = n // k
-    views = [np.empty((batch_size, m), dtype=np.int64) for _ in range(k)]
-    for b in range(batch_size):
-        perm = rng.permutation(n)
-        for j in range(k):
-            views[j][b] = np.sort(perm[j * m : (j + 1) * m])
+    perms = np.stack([rng.permutation(n) for _ in range(batch_size)])
     out = []
     for j in range(k):
-        hid = np.stack(
-            [np.setdiff1d(np.arange(n), views[j][b], assume_unique=True)
-             for b in range(batch_size)]
-        )
-        out.append(PatchMask(ratio=ratio, visible=views[j], hidden=hid, n_total=n))
+        vis = np.sort(perms[:, j * m : (j + 1) * m], axis=1)
+        hid = np.sort(np.delete(perms, np.s_[j * m : (j + 1) * m], axis=1), axis=1)
+        out.append(PatchMask(ratio=ratio, visible=vis, hidden=hid, n_total=n))
     return out

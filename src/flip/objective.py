@@ -23,14 +23,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import EncoderConfig, transformer_block
+from .encoders import DECODER_LAYERS, EncoderConfig, transformer_block
 from .errors import ConfigError
 from .masking import PatchMask
 
 logger = logging.getLogger(__name__)
 
 MAX_LOGIT_SCALE = 100.0
-LOGIT_SCALE_INIT = math.log(1.0 / 0.07)
 PIXEL_NORM_EPS = 1e-6
 
 
@@ -105,7 +104,6 @@ def reconstruction_loss(
     mask: PatchMask,
     target_patches: np.ndarray,
     config: EncoderConfig,
-    decoder_layers: int = 2,
 ) -> Tensor:
     """MSE on hidden patches, MAE-style.
 
@@ -121,7 +119,7 @@ def reconstruction_loss(
     if nh == 0:
         logger.warning("reconstruction requested with mask ratio 0; nothing is hidden")
         return Tensor(0.0)
-    dd = config.image.width // 2
+    dd = params["dec/embed/w"].shape[1]  # decoder width, fixed by init_params
     heads = config.image.heads
 
     offsets = np.arange(b)[:, None] * n
@@ -137,7 +135,7 @@ def reconstruction_loss(
     placed = ad.add(placed, ad.scatter_rows(mask_tokens, flat_hid, b * n))
     pos = ad.take_rows(params["dec/pos"], np.tile(np.arange(n), b))
     x = ad.reshape(ad.add(placed, pos), (b, n, dd))
-    for i in range(decoder_layers):
+    for i in range(DECODER_LAYERS):
         x = transformer_block(x, params, f"dec/blk{i}", heads)
     x = ad.layer_norm(x, params["dec/ln_f/g"], params["dec/ln_f/b"])
     pred = ad.add(

@@ -27,11 +27,13 @@ class TradeoffPoint:
 
 
 CSV_HEADER = "run,samples,compute_flops,metric,value,wall_seconds"
+CURVE_HEADER = "samples,metric,value"
 
 
-def _read_curve(path: Path) -> list[tuple[int, str, float]]:
+def read_curve(path: Path) -> list[tuple[int, str, float]]:
+    """Rows (samples_seen, metric, value) of a run's curve.csv."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "samples,metric,value":
+    if not lines or lines[0] != CURVE_HEADER:
         raise DataFormatError(f"{path}: unexpected curve header")
     rows = []
     for line in lines[1:]:
@@ -62,7 +64,7 @@ def tradeoff_report(run_dirs) -> list[TradeoffPoint]:
             raise DataFormatError(f"run {run}: missing curve.csv or flops.json")
         per_sample = json.loads(flops_file.read_text())["total_flops"]
         timing = _read_timing(run / "timing.csv")
-        for samples, metric, value in _read_curve(curve):
+        for samples, metric, value in read_curve(curve):
             points.append(
                 TradeoffPoint(
                     run=run.name,

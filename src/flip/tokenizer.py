@@ -7,6 +7,10 @@ greedy longest-prefix matching against the vocabulary; anything that
 cannot be matched (not even as a single character) becomes UNK.
 
 Every sequence is padded or cut to a fixed length (32 by default).
+
+The packaged vocabulary is part of the model: its length is the desk
+presets' ``vocab_size`` (rows of ``txt/tok_emb``), so training and
+evaluation always tokenize with ``default_vocab()``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ class TokenizedBatch:
 
     token_ids: np.ndarray  # int64 [B, seq_len]
     valid_lengths: np.ndarray  # int64 [B]
-    pad_id: int = PAD_ID
 
     @property
     def batch_size(self) -> int:

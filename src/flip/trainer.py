@@ -14,7 +14,7 @@ import dataclasses
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -38,6 +38,7 @@ from .encoders import (
 from .errors import ConfigError, DataFormatError, DimensionError
 from .flops import count_flops
 from .masking import (
+    POLICIES,
     TAG_SHUFFLE,
     full_mask,
     patch_masks_for_samples,
@@ -52,7 +53,8 @@ from .objective import (
     project_and_normalize,
     reconstruction_loss,
 )
-from .tokenizer import Vocab, default_vocab, tokenize_batch
+from .report import CURVE_HEADER, read_curve
+from .tokenizer import tokenize_batch
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +62,7 @@ ADAM_EPS = 1e-8
 TUNE_LR_FACTOR = 0.01  # unmasked tuning runs at base_lr / 100
 TUNE_SAMPLES_FRACTION = 0.05
 TUNE_WARMUP_FRACTION = 0.2
+LOG_EVERY = 50  # steps between loss log lines in run_pretraining
 
 
 @dataclass
@@ -87,6 +90,11 @@ class TrainConfig:
             raise ConfigError(
                 f"total_samples {self.total_samples} < warmup_samples {self.warmup_samples}"
             )
+        if self.text_mask_policy not in POLICIES:
+            raise ConfigError(f"text_mask_policy {self.text_mask_policy!r} not in {POLICIES}")
+        for name in ("mask_ratio", "text_mask_ratio"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @property
     def total_steps(self) -> int:
@@ -236,7 +244,6 @@ def train_step(
     sample_indices=None,
     lr: Optional[float] = None,
     mask_ratio: Optional[float] = None,
-    vocab: Optional[Vocab] = None,
 ) -> LossBundle:
     """One optimization step: mask, encode both towers, project, InfoNCE
     (+ optional reconstruction), backward, AdamW, clamp the logit scale.
@@ -258,7 +265,7 @@ def train_step(
     if images.dtype == np.uint8:
         images = images.astype(np.float32) / 255.0
     patches = patchify(images, enc_cfg.image.patch_size)
-    tokens = tokenize_batch(captions, vocab or default_vocab(), enc_cfg.text.seq_len)
+    tokens = tokenize_batch(captions, seq_len=enc_cfg.text.seq_len)
 
     if mask_ratio > 0:
         pmask = patch_masks_for_samples(
@@ -326,7 +333,6 @@ def run_phase(
     *,
     mask_ratio: float,
     schedule_origin: int = 0,
-    vocab: Optional[Vocab] = None,
     on_step: Optional[Callable[[TrainState, LossBundle], None]] = None,
 ) -> TrainState:
     """Drive train_step for n_steps with the given lr schedule and mask.
@@ -341,7 +347,6 @@ def run_phase(
     b = state.config.batch_size
     if n < b:
         raise ConfigError(f"dataset of {n} samples is smaller than batch {b}")
-    vocab = vocab or default_vocab()
     per_epoch = n // b
     perm_epoch, perm = -1, None
     for _ in range(n_steps):
@@ -359,7 +364,6 @@ def run_phase(
             sample_indices=idx,
             lr=lr_at(phase_samples, schedule),
             mask_ratio=mask_ratio,
-            vocab=vocab,
         )
         if on_step is not None:
             on_step(state, bundle)
@@ -370,7 +374,6 @@ def pretrain(
     state: TrainState,
     dataset: Dataset,
     *,
-    vocab: Optional[Vocab] = None,
     on_step=None,
     n_steps: Optional[int] = None,
 ) -> TrainState:
@@ -378,7 +381,7 @@ def pretrain(
     remaining = cfg.total_steps - state.step
     steps = remaining if n_steps is None else min(n_steps, remaining)
     return run_phase(
-        state, dataset, cfg, steps, mask_ratio=cfg.mask_ratio, vocab=vocab, on_step=on_step
+        state, dataset, cfg, steps, mask_ratio=cfg.mask_ratio, on_step=on_step
     )
 
 
@@ -387,13 +390,11 @@ def unmasked_tune(
     dataset: Dataset,
     *,
     tune_samples: Optional[int] = None,
-    base_lr: Optional[float] = None,
-    vocab: Optional[Vocab] = None,
     on_step=None,
 ) -> TrainState:
     """Continue pre-training at mask ratio 0 to close the masking gap.
 
-    Defaults: 5% of the pre-training samples, base lr lowered 100x (the
+    By default 5% of the pre-training samples; base lr lowered 100x (the
     4e-6 -> 4e-8 proportion), warmup shortened to 20% of the tuning
     span. Optimizer moments restart fresh for the new stage.
     """
@@ -402,19 +403,17 @@ def unmasked_tune(
         tune_samples = int(TUNE_SAMPLES_FRACTION * cfg.total_samples)
     if tune_samples == 0:
         return state
-    if base_lr is None:
-        base_lr = cfg.base_lr * TUNE_LR_FACTOR
     steps = max(1, tune_samples // cfg.batch_size)
     schedule = replace(
         cfg,
-        base_lr=base_lr,
+        base_lr=cfg.base_lr * TUNE_LR_FACTOR,
         warmup_samples=int(TUNE_WARMUP_FRACTION * tune_samples),
         total_samples=tune_samples,
     )
     reset_moments(state)
     return run_phase(
         state, dataset, schedule, steps, mask_ratio=0.0,
-        schedule_origin=state.samples_seen, vocab=vocab, on_step=on_step,
+        schedule_origin=state.samples_seen, on_step=on_step,
     )
 
 
@@ -423,13 +422,10 @@ def unmasked_tune(
 
 
 def save_state(path, state: TrainState) -> None:
-    img, txt = state.encoder_config.image, state.encoder_config.text
+    enc = state.encoder_config
     tensors: dict[str, np.ndarray] = {}
     tensors["meta/geometry"] = np.asarray(
-        [img.layers, img.width, img.heads, img.patch_size, img.image_size,
-         txt.layers, txt.width, txt.heads, txt.seq_len, txt.vocab_size,
-         state.encoder_config.embed_dim],
-        dtype=np.float32,
+        astuple(enc.image) + astuple(enc.text) + (enc.embed_dim,), dtype=np.float32
     )
     counters = []
     for value in (state.step, state.adam_t, state.samples_seen,
@@ -501,10 +497,7 @@ def load_encoder(path) -> tuple[dict[str, Tensor], EncoderConfig]:
 # run directories and the scaling harness
 
 
-CURVE_HEADER = "samples,metric,value"
-
-
-def run_pretraining(config: TrainConfig, out_dir, *, log_every: int = 50) -> TrainState:
+def run_pretraining(config: TrainConfig, out_dir) -> TrainState:
     """Full pre-training run writing a self-contained run directory:
     config.txt, flops.json, curve.csv (periodic zero-shot accuracy),
     timing.csv, and final.ckpt.
@@ -542,7 +535,7 @@ def run_pretraining(config: TrainConfig, out_dir, *, log_every: int = 50) -> Tra
 
     def on_step(st, bundle):
         nonlocal next_eval
-        if st.step % log_every == 0:
+        if st.step % LOG_EVERY == 0:
             logger.info("step %d loss %.4f", st.step, bundle.total)
         if st.samples_seen >= next_eval:
             eval_point()
@@ -602,8 +595,4 @@ def run_scaling_axis(base: TrainConfig, axis: str, workdir) -> list[tuple[int, s
     config = scaled_config(base, axis, workdir)
     out = workdir / axis
     run_pretraining(config, out)
-    rows = []
-    for line in (out / "curve.csv").read_text().splitlines()[1:]:
-        samples, metric, value = line.split(",")
-        rows.append((int(samples), metric, float(value)))
-    return rows
+    return read_curve(out / "curve.csv")

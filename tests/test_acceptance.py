@@ -237,6 +237,7 @@ class TestCriterion5PrioritizedMasking:
         )
 
 
+@pytest.mark.slow
 class TestCriterion6DeskLearning:
     def test_zero_shot_accuracy_and_mode_ordering(self, workspace, trained_runs):
         root, train, heldout = workspace
@@ -260,6 +261,7 @@ class TestCriterion6DeskLearning:
         )
 
 
+@pytest.mark.slow
 class TestExtraProbeTrend:
     def test_linear_probe_at_least_zero_shot_trend(self, workspace, trained_runs):
         # op-level example, not a numbered criterion: over 5 seeds the mean
@@ -282,6 +284,7 @@ class TestExtraProbeTrend:
         )
 
 
+@pytest.mark.slow
 class TestCriterion7UnmaskedTuning:
     def test_tuning_does_not_increase_full_view_loss(self, workspace, trained_runs):
         root, train, heldout = workspace
@@ -300,6 +303,7 @@ class TestCriterion7UnmaskedTuning:
         )
 
 
+@pytest.mark.slow
 class TestCriterion8Reconstruction:
     def test_reconstruction_trains_and_decreases(self, workspace):
         root, train, _ = workspace

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, exit codes, and the file formats they emit."""
 
 import json
+import struct
 
+import numpy as np
 import pytest
 
+from flip.checkpoint import save_tensors
 from flip.cli import main
 from flip.data import generate_dataset
 from flip.report import to_csv, tradeoff_report
@@ -52,6 +55,24 @@ class TestExitCodes:
         assert main(["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data", str(data),
                      "--task", "zero-shot"]) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_eval_on_wrapping_checkpoint_dims_is_data_error(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "wrap.ckpt"
+        save_tensors(ckpt, {"param/w": np.zeros((2, 2))})
+        dims = b"param/w\x02" + struct.pack("<2I", 2, 2)
+        ckpt.write_bytes(ckpt.read_bytes().replace(dims, b"param/w\x02" + b"\xff" * 8))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
+                     "--task", "zero-shot"]) == 2
+        assert "truncated" in capsys.readouterr().err
+
+    def test_train_with_unknown_text_policy_writes_nothing(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text((workspace / "config.txt").read_text().replace(
+            "text_mask_policy = prioritized", "text_mask_policy = sometimes"))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert "text_mask_policy" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_gen_data_success(self, tmp_path):
         out = tmp_path / "g.flipds"

@@ -180,6 +180,18 @@ class TestGoldenDraws:
         assert rand.visible.tolist() == [[1, 2, 3, 4], [0, 1, 3, 6], [2, 3, 6, 7]]
         assert prio.visible.tolist() == [[0, 1, 2, 6], [0, 2, 3, 4], [0, 4, 5, 6]]
 
+    def test_complementary_views(self):
+        views = masking.complementary_views(16, 0.75, np.random.default_rng(5), batch_size=2)
+        assert [v.visible.tolist() for v in views] == [
+            [[1, 3, 7, 11], [2, 4, 7, 9]],
+            [[2, 9, 10, 15], [6, 10, 11, 15]],
+            [[0, 4, 6, 12], [0, 1, 3, 12]],
+            [[5, 8, 13, 14], [5, 8, 13, 14]],
+        ]
+        assert views[3].hidden.tolist() == [
+            [0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 15], [0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 15],
+        ]
+
 
 class TestCounterSeededRows:
     """Row b of a counter-seeded mask is the single-generator draw made with

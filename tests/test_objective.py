@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from flip.autodiff import Graph, OpCheck, Tensor, check_gradients
-from flip.encoders import init_params, patchify, preset
+from flip.encoders import LOGIT_SCALE_INIT, init_params, patchify, preset
 from flip.errors import ConfigError
 from flip.masking import full_mask, sample_patch_mask
 from flip.objective import (
     EmbeddingBatch,
-    LOGIT_SCALE_INIT,
     MAX_LOGIT_SCALE,
     info_nce,
     normalize_patches,

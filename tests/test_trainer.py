@@ -2,6 +2,8 @@
 and bit-exact determinism of the loop."""
 
 import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,14 @@ def desk_config(**kw):
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def write_wrapping_checkpoint(path):
+    """A one-tensor checkpoint with dims (2**32 - 1, 2**32 - 1), whose
+    product wraps in int64."""
+    save_tensors(path, {"param/w": np.zeros((2, 2))})
+    dims = b"param/w\x02" + struct.pack("<2I", 2, 2)
+    path.write_bytes(path.read_bytes().replace(dims, b"param/w\x02" + b"\xff" * 8))
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +102,12 @@ class TestConfig:
             TrainConfig(batch_size=1)
         with pytest.raises(ConfigError):
             TrainConfig(warmup_samples=100, total_samples=50)
+        with pytest.raises(ConfigError, match="text_mask_policy"):
+            TrainConfig(text_mask_policy="sometimes")
+        for field in ("mask_ratio", "text_mask_ratio"):
+            for bad in (-0.1, 1.0, 1.5):
+                with pytest.raises(ConfigError, match=field):
+                    TrainConfig(**{field: bad})
 
     def test_file_round_trip(self, tmp_path):
         cfg = desk_config(text_mask_policy="random", text_mask_ratio=0.25,
@@ -234,6 +250,12 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(DataFormatError, match="UTF-8"):
             load_tensors(path)
 
+    def test_checkpoint_rejects_wrapping_element_count(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        write_wrapping_checkpoint(path)
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_tensors(path)
+
     def test_geometry_restored_without_config(self, tiny_dataset, tmp_path):
         state = init_train_state(desk_config(warmup_samples=0, total_samples=64))
         pretrain(state, tiny_dataset)
@@ -241,6 +263,44 @@ class TestDeterminismAndCheckpoints:
         loaded = load_state(tmp_path / "x.ckpt")
         assert loaded.encoder_config == state.encoder_config
         assert loaded.config.seed == state.config.seed
+
+
+class TestGoldenLosses:
+    """First per-step (contrastive, reconstruction) losses pinned. The
+    determinism tests compare two runs of the same code; these catch a
+    refactor that changes what a step computes."""
+
+    GOLDEN = {
+        "m50-prioritized": (
+            dict(mask_ratio=0.5, text_mask_policy="prioritized"),
+            [(3.9421274662017822, None), (4.201583385467529, None),
+             (3.515251636505127, None)],
+        ),
+        "m75-rec-random": (
+            dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"),
+            [(4.041990756988525, 1.0082300901412964), (4.607134819030762, 1.003225564956665),
+             (4.032389163970947, 1.0074056386947632)],
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        return generate_dataset(128, 7, tmp_path_factory.mktemp("golden") / "g.flipds")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_first_three_steps(self, dataset, name):
+        overrides, expected = self.GOLDEN[name]
+        cfg = TrainConfig(base_lr=4e-3, batch_size=32, warmup_samples=32,
+                          total_samples=32 * 4, seed=1, **overrides)
+        losses = []
+        pretrain(init_train_state(cfg), dataset, n_steps=3,
+                 on_step=lambda st, b: losses.append((b.contrastive, b.reconstruction)))
+        for (con, rec), (want_con, want_rec) in zip(losses, expected, strict=True):
+            assert con == pytest.approx(want_con, rel=1e-4)
+            if want_rec is None:
+                assert rec is None
+            else:
+                assert rec == pytest.approx(want_rec, rel=1e-4)
 
 
 class TestDeskLearningSmoke:
