@@ -6,7 +6,12 @@ and dominate the runtime; everything else is fast.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,7 @@ DESK_LR = 6e-3
 MAIN_STEPS = 3000
 SHORT_STEPS = 600
 BATCH = 64
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RESULTS = []
 
@@ -72,21 +78,41 @@ def workspace(tmp_path_factory):
     return root, train, heldout
 
 
-@pytest.fixture(scope="module")
-def trained_runs(workspace):
-    """Seed 0 trains the full schedule; seeds 1-4 train short schedules
-    for the trend criteria."""
-    root, train, heldout = workspace
+def train_seeds(seeds, train, train_path):
+    """Pre-train each seed in turn: seed 0 the full schedule, the others
+    the short one."""
     runs = {}
     t0 = time.monotonic()
-    for seed in range(5):
+    for seed in seeds:
         steps = MAIN_STEPS if seed == 0 else SHORT_STEPS
-        state = init_train_state(desk_config(seed, steps, root / "train.flipds"))
+        state = init_train_state(desk_config(seed, steps, train_path))
         pretrain(state, train)
         runs[seed] = state
         print(f"  trained seed {seed} ({steps} steps, {time.monotonic()-t0:.0f}s elapsed)",
               flush=True)
     return runs
+
+
+@pytest.fixture(scope="module")
+def trained_runs(workspace):
+    """Seed 0 trains the full schedule; seeds 1-4 train short schedules
+    for the trend criteria. Seed 0 (3000 steps) and seeds 1-4 (4 x 600)
+    train side by side in two worker processes, each with one BLAS
+    thread; every run is deterministic, so the states are the ones a
+    serial loop gives."""
+    root, train, heldout = workspace
+    src = str(Path(flip.__file__).parents[1])
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    jobs = []
+    for seeds in ("0", "1,2,3,4"):
+        out = root / f"runs-{seeds}.pkl"
+        cmd = [sys.executable, __file__, seeds, str(root / "train.flipds"), str(out)]
+        jobs.append((out, subprocess.Popen(cmd, env=env)))
+    codes = [proc.wait() for _, proc in jobs]
+    assert codes == [0, 0], f"training workers exited with {codes}"
+    return {seed: state for out, _ in jobs
+            for seed, state in pickle.loads(out.read_bytes()).items()}
 
 
 def held_out_full_view_loss(state, dataset, batch=BATCH) -> float:
@@ -381,3 +407,11 @@ class TestCriterion10LearningRate:
             f"linear rule exact={exact}, boundary continuous={boundary and eps_side}, "
             f"lr(end)={lr_at(10_000, cfg):.2e}",
         )
+
+
+if __name__ == "__main__":
+    # trained_runs worker: test_acceptance.py SEEDS TRAIN_PATH OUT_PICKLE
+    seeds, train_path, out = sys.argv[1:]
+    runs = train_seeds([int(x) for x in seeds.split(",")], read_dataset(train_path),
+                       Path(train_path))
+    Path(out).write_bytes(pickle.dumps(runs))
