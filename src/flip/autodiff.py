@@ -11,12 +11,18 @@ enough headroom.
 
 The op set is deliberately small: exactly what transformer encoders and
 the contrastive / reconstruction losses need, each registered with a
-backward rule and covered by ``check_gradients``.
+backward rule and covered by ``check_gradients``. Two of them are fused,
+one tape node each: ``linear`` (matmul plus bias over the last axis) and
+``attention`` (head split, scaled QK^T, padding bias, softmax, AV and
+head merge). They run the same numpy expressions in the same order as
+the chain of primitive ops they replace, so results are bit-identical
+to it; the tape is what shrinks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -151,6 +157,17 @@ def _accum(t: Tensor, g) -> None:
         t.grad += g
 
 
+def _accum_owned(t: Tensor, g: np.ndarray) -> None:
+    """``_accum`` for a gradient the backward rule has just allocated: on
+    first touch ``g`` becomes the buffer instead of being copied. ``g``
+    must have ``t``'s shape and dtype, and must never be the incoming
+    gradient or a view of it (``add`` hands one ``g`` to both inputs)."""
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
 def _grad_buffer(t: Tensor) -> np.ndarray:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -186,6 +203,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _record(out, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``; leading axes are kept."""
+    if (w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise DimensionError(f"linear: shapes {x.shape} x {w.shape} + {b.shape} do not fit")
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    out2 = x2 @ w.data
+    out2 += b.data
+    out = Tensor(out2.reshape(x.shape[:-1] + (d_out,)))
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        if b.requires_grad:
+            _accum(b, g2.sum(axis=0))
+        if x.requires_grad:
+            _accum_owned(x, (g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accum(w, x2.T @ g2)
+
+    return _record(out, (x, w, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -324,18 +364,77 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _record(out, (x, gain, bias), backward)
 
 
+def _softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis. The row max is taken one column at a
+    time: exact like ``max(axis=-1)``, and faster over short rows."""
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    ez = np.exp(x - m)
+    return ez / ez.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Input gradient of a last-axis softmax with output ``s``."""
+    return (g - np.sum(g * s, axis=-1, keepdims=True)) * s
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    s = ez / ez.sum(axis=-1, keepdims=True)
+    s = _softmax_forward(x.data)
     out = Tensor(s)
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, (g - np.sum(g * s, axis=-1, keepdims=True)) * s)
+            _accum(x, _softmax_backward(g, s))
 
     return _record(out, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: Tensor | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention on ``[b, t, d]`` inputs.
+
+    Splits ``d`` into ``heads`` heads, computes softmax(q k^T / sqrt(dh)
+    + bias) v per head and merges the heads back to ``[b, t, d]``.
+    ``bias`` is a constant (e.g. -1e9 on padding keys) that broadcasts
+    onto the ``[b, heads, t, t]`` scores and receives no gradient.
+    """
+    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(
+            f"attention: needs equal [b, t, d] inputs, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    b, t, d = q.shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention: width {d} not divisible by {heads} heads")
+    if bias is not None and bias.requires_grad:
+        raise ValueError("attention: the bias is a constant and gets no gradient")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(x):  # [b, t, d] -> [b, heads, t, dh] view
+        return x.data.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * c
+    if bias is not None:
+        scores = scores + bias.data
+    s = _softmax_forward(scores)
+    out = Tensor((s @ vh).transpose(0, 2, 1, 3).reshape(b, t, d))
+
+    def merge(gh):  # [b, heads, t, dh] -> fresh [b, t, d]
+        return gh.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    def backward(g):
+        gh = np.ascontiguousarray(g.reshape(b, t, heads, dh).transpose(0, 2, 1, 3))
+        ds = _softmax_backward(gh @ vh.swapaxes(-1, -2), s) * c
+        if v.requires_grad:
+            _accum_owned(v, merge(s.swapaxes(-1, -2) @ gh))
+        if q.requires_grad:
+            _accum_owned(q, merge(ds @ kh))
+        if k.requires_grad:
+            _accum_owned(k, merge((qh.swapaxes(-1, -2) @ ds).transpose(0, 1, 3, 2)))
+
+    return _record(out, (q, k, v), backward)
 
 
 def logsumexp_rows(x: Tensor) -> Tensor:
@@ -529,6 +628,15 @@ def _away_from(arr, value, margin=1e-3):
     return np.where(close, arr + 2 * margin, arr)
 
 
+def _padding_bias(rng, b, t):
+    """[b, 1, 1, t] key bias of 0 or -1e9 that leaves every sample at least
+    one key, as ``encode_text`` does (a fully masked row would make central
+    differences on -1e9 meaningless)."""
+    hidden = rng.random((b, t)) < 0.5
+    hidden[:, 0] = False
+    return Tensor(np.where(hidden, -1e9, 0.0)[:, None, None, :])
+
+
 def _default_checks() -> dict[str, OpCheck]:
     def t(rng, shape):
         return Tensor(_rand(rng, shape), requires_grad=True)
@@ -539,6 +647,27 @@ def _default_checks() -> dict[str, OpCheck]:
             "matmul_stacked",
             matmul,
             lambda rng: ([t(rng, (2, 3, 4)), t(rng, (2, 4, 3))], {}),
+        ),
+        OpCheck(
+            "linear", linear, lambda rng: ([t(rng, (3, 4)), t(rng, (4, 2)), t(rng, (2,))], {})
+        ),
+        OpCheck(
+            "linear_3d",
+            linear,
+            lambda rng: ([t(rng, (2, 3, 4)), t(rng, (4, 3)), t(rng, (3,))], {}),
+        ),
+        OpCheck(
+            "attention",
+            attention,
+            lambda rng: ([t(rng, (2, 3, 4)) for _ in range(3)], {"heads": 2}),
+        ),
+        OpCheck(
+            "attention_bias",
+            attention,
+            lambda rng: (
+                [t(rng, (2, 3, 4)) for _ in range(3)],
+                {"heads": 2, "bias": _padding_bias(rng, 2, 3)},
+            ),
         ),
         OpCheck("add", add, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("add_bias", add, lambda rng: ([t(rng, (3, 4)), t(rng, (4,))], {})),

@@ -231,31 +231,16 @@ def transformer_block(
     x: Tensor, params: dict, prefix: str, heads: int, attn_bias: Tensor | None = None
 ) -> Tensor:
     """Pre-norm block: x + attn(ln(x)); x + mlp(ln(x)). No dropout."""
-    b, t, d = x.shape
-    dh = d // heads
     p = params
 
+    def linear(h, name):
+        return ad.linear(h, p[f"{prefix}/{name}/w"], p[f"{prefix}/{name}/b"])
+
     h = ad.layer_norm(x, p[f"{prefix}/ln1/g"], p[f"{prefix}/ln1/b"])
-    h2 = ad.reshape(h, (b * t, d))
-
-    def project(name):
-        rows = ad.add(ad.matmul(h2, p[f"{prefix}/{name}/w"]), p[f"{prefix}/{name}/b"])
-        return ad.transpose(ad.reshape(rows, (b, t, heads, dh)), (0, 2, 1, 3))
-
-    q, k, v = project("q"), project("k"), project("v")
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if attn_bias is not None:
-        scores = ad.add(scores, attn_bias)
-    attn = ad.softmax_rows(scores)
-    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b * t, d))
-    ctx = ad.add(ad.matmul(ctx, p[f"{prefix}/attn_out/w"]), p[f"{prefix}/attn_out/b"])
-    x = ad.add(x, ad.reshape(ctx, (b, t, d)))
-
+    ctx = ad.attention(linear(h, "q"), linear(h, "k"), linear(h, "v"), heads, attn_bias)
+    x = ad.add(x, linear(ctx, "attn_out"))
     h = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
-    h2 = ad.reshape(h, (b * t, d))
-    m = ad.gelu(ad.add(ad.matmul(h2, p[f"{prefix}/mlp1/w"]), p[f"{prefix}/mlp1/b"]))
-    m = ad.add(ad.matmul(m, p[f"{prefix}/mlp2/w"]), p[f"{prefix}/mlp2/b"])
-    return ad.add(x, ad.reshape(m, (b, t, d)))
+    return ad.add(x, linear(ad.gelu(linear(h, "mlp1")), "mlp2"))
 
 
 def _check_mask(mask: PatchMask, n: int, what: str):
@@ -292,10 +277,8 @@ def encode_image(
     v = mask.n_visible
 
     raw = patches[np.arange(b)[:, None], mask.visible]  # [B, v, pd], constant input
-    x = ad.add(
-        ad.matmul(Tensor(raw.reshape(b * v, pd)), params["img/patch_embed/w"]),
-        params["img/patch_embed/b"],
-    )
+    x = ad.linear(Tensor(raw.reshape(b * v, pd)), params["img/patch_embed/w"],
+                  params["img/patch_embed/b"])
     pos = ad.take_rows(params["img/pos"], mask.visible.ravel())
     x = ad.reshape(ad.add(x, pos), (b, v, img.width))
     for i in range(img.layers):

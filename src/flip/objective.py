@@ -126,10 +126,8 @@ def reconstruction_loss(
     flat_vis = (offsets + mask.visible).ravel()
     flat_hid = (offsets + mask.hidden).ravel()
 
-    emb = ad.add(
-        ad.matmul(ad.reshape(encoded_visible, (b * v, d)), params["dec/embed/w"]),
-        params["dec/embed/b"],
-    )
+    emb = ad.linear(ad.reshape(encoded_visible, (b * v, d)), params["dec/embed/w"],
+                    params["dec/embed/b"])
     placed = ad.scatter_rows(emb, flat_vis, b * n)
     mask_tokens = ad.take_rows(params["dec/mask_token"], np.zeros(b * nh, dtype=np.int64))
     placed = ad.add(placed, ad.scatter_rows(mask_tokens, flat_hid, b * n))
@@ -138,9 +136,7 @@ def reconstruction_loss(
     for i in range(DECODER_LAYERS):
         x = transformer_block(x, params, f"dec/blk{i}", heads)
     x = ad.layer_norm(x, params["dec/ln_f/g"], params["dec/ln_f/b"])
-    pred = ad.add(
-        ad.matmul(ad.reshape(x, (b * n, dd)), params["dec/out/w"]), params["dec/out/b"]
-    )
+    pred = ad.linear(ad.reshape(x, (b * n, dd)), params["dec/out/w"], params["dec/out/b"])
     pred_hidden = ad.take_rows(pred, flat_hid)
 
     targets = normalize_patches(target_patches)[np.arange(b)[:, None], mask.hidden]

@@ -28,28 +28,36 @@ class TradeoffPoint:
 
 CSV_HEADER = "run,samples,compute_flops,metric,value,wall_seconds"
 CURVE_HEADER = "samples,metric,value"
+TIMING_HEADER = "samples,seconds"
+
+
+def _read_rows(path: Path, header: str, types: tuple) -> list[tuple]:
+    """Rows after ``header``, field i converted by ``types[i]``. A wrong
+    header or a malformed row raises ``DataFormatError`` naming the line."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text") from e
+    if not lines or lines[0] != header:
+        raise DataFormatError(f"{path}: expected header {header!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            rows.append(tuple(t(f) for t, f in zip(types, line.split(","), strict=True)))
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: malformed row {line!r}") from e
+    return rows
 
 
 def read_curve(path: Path) -> list[tuple[int, str, float]]:
     """Rows (samples_seen, metric, value) of a run's curve.csv."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CURVE_HEADER:
-        raise DataFormatError(f"{path}: unexpected curve header")
-    rows = []
-    for line in lines[1:]:
-        samples, metric, value = line.split(",")
-        rows.append((int(samples), metric, float(value)))
-    return rows
+    return _read_rows(path, CURVE_HEADER, (int, str, float))
 
 
 def _read_timing(path: Path) -> dict[int, float]:
     if not path.exists():
         return {}
-    rows = {}
-    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        samples, seconds = line.split(",")
-        rows[int(samples)] = float(seconds)
-    return rows
+    return dict(_read_rows(path, TIMING_HEADER, (int, float)))
 
 
 def tradeoff_report(run_dirs) -> list[TradeoffPoint]:

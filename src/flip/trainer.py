@@ -40,7 +40,6 @@ from .flops import count_flops
 from .masking import (
     POLICIES,
     TAG_SHUFFLE,
-    full_mask,
     patch_masks_for_samples,
     per_sample_rng,
     text_masks_for_samples,
@@ -53,7 +52,7 @@ from .objective import (
     project_and_normalize,
     reconstruction_loss,
 )
-from .report import CURVE_HEADER, read_curve
+from .report import CURVE_HEADER, TIMING_HEADER, read_curve
 from .tokenizer import tokenize_batch
 
 logger = logging.getLogger(__name__)
@@ -279,13 +278,13 @@ def train_step(
 
     for p in state.params.values():
         p.zero_grad()
+    reconstruct = cfg.rec_weight > 0 and pmask is not None  # nothing hidden at ratio 0
     with ad.Graph() as graph:
-        img_out = encode_image(patches, pmask, state.params, enc_cfg,
-                               return_tokens=cfg.rec_weight > 0)
-        if cfg.rec_weight > 0:
+        img_out = encode_image(patches, pmask, state.params, enc_cfg, return_tokens=reconstruct)
+        if reconstruct:
             pooled, visible_tokens = img_out
         else:
-            pooled, visible_tokens = img_out, None
+            pooled = img_out
         txt_pooled = encode_text(tokens, tmask, state.params, enc_cfg)
         emb = EmbeddingBatch(
             image_emb=project_and_normalize(pooled, state.params["proj/img/w"]),
@@ -294,11 +293,8 @@ def train_step(
         )
         contrastive = info_nce(emb)
         rec = None
-        if cfg.rec_weight > 0:
-            rec_mask = pmask if pmask is not None else full_mask(
-                enc_cfg.image.num_patches, b
-            )
-            rec = reconstruction_loss(state.params, visible_tokens, rec_mask, patches, enc_cfg)
+        if reconstruct:
+            rec = reconstruction_loss(state.params, visible_tokens, pmask, patches, enc_cfg)
             total = ad.add(contrastive, ad.scale(rec, cfg.rec_weight))
         else:
             total = contrastive
@@ -546,7 +542,7 @@ def run_pretraining(config: TrainConfig, out_dir) -> TrainState:
         eval_point()
 
     _write_csv(out / "curve.csv", CURVE_HEADER, curve_rows)
-    _write_csv(out / "timing.csv", "samples,seconds", timing_rows)
+    _write_csv(out / "timing.csv", TIMING_HEADER, timing_rows)
     save_state(out / "final.ckpt", state)
     return state
 

@@ -1,6 +1,8 @@
 """Engine tests: op semantics, finite-difference gradient checks,
 accumulation, and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,108 @@ class TestGradients:
             y = ad.scale(x, 2.0)
             with pytest.raises(DimensionError):
                 g.backward(y)
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` against the primitive chains they
+    replace: bit-identical outputs and input gradients in float32."""
+
+    B, T, HEADS = 4, 6, 2
+
+    def _inputs(self, d, with_bias):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((self.B, self.T, d)), requires_grad=True)
+        params = {
+            name: Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
+            for proj in ("q", "k", "v", "o")
+            for name, shape in ((f"{proj}/w", (d, d)), (f"{proj}/b", (d,)))
+        }
+        bias = None
+        if with_bias:
+            hidden = rng.random((self.B, self.T)) < 0.4
+            hidden[:, 0] = False
+            bias = Tensor(np.where(hidden, -1e9, 0.0)[:, None, None, :])
+        weights = Tensor(rng.standard_normal((self.B, self.T, d)))
+        return x, params, bias, weights
+
+    def _primitive(self, x, p, bias):
+        b, t, d = x.shape
+        heads = self.HEADS
+        dh = d // heads
+        h2 = ad.reshape(x, (b * t, d))
+
+        def project(name):
+            rows = ad.add(ad.matmul(h2, p[f"{name}/w"]), p[f"{name}/b"])
+            return ad.transpose(ad.reshape(rows, (b, t, heads, dh)), (0, 2, 1, 3))
+
+        q, k, v = project("q"), project("k"), project("v")
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        if bias is not None:
+            scores = ad.add(scores, bias)
+        ctx = ad.matmul(ad.softmax_rows(scores), v)
+        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * t, d))
+        out = ad.add(ad.matmul(ctx, p["o/w"]), p["o/b"])
+        return ad.reshape(out, (b, t, d))
+
+    def _fused(self, x, p, bias):
+        def linear(h, name):
+            return ad.linear(h, p[f"{name}/w"], p[f"{name}/b"])
+
+        ctx = ad.attention(linear(x, "q"), linear(x, "k"), linear(x, "v"), self.HEADS, bias)
+        return linear(ctx, "o")
+
+    def _run(self, build, d, with_bias):
+        x, params, bias, weights = self._inputs(d, with_bias)
+        with Graph() as g:
+            out = build(x, params, bias)
+            g.backward(ad.sum_all(ad.mul(out, weights)))
+        grads = {name: t.grad for name, t in params.items()}
+        grads["x"] = x.grad
+        return out.data, grads, len(g.nodes)
+
+    # width 12 gives a head size of 6, whose 1/sqrt(6) scale is inexact
+    @pytest.mark.parametrize("d", [8, 12])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "padding-bias"])
+    def test_bit_identical_to_primitive_chain(self, d, with_bias):
+        ref_out, ref_grads, ref_nodes = self._run(self._primitive, d, with_bias)
+        out, grads, nodes = self._run(self._fused, d, with_bias)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert nodes == 5 + 2 < ref_nodes  # 5 fused ops + the loss's mul and sum_all
+
+    def test_linear_keeps_leading_axes(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        out = ad.linear(x, Tensor(np.ones((4, 5))), Tensor(np.arange(5.0)))
+        assert out.shape == (2, 3, 5)
+        assert np.array_equal(out.data[1, 2], 4.0 + np.arange(5.0))
+
+    def test_linear_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionError, match="linear"):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(DimensionError, match="linear"):
+            ad.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.zeros(4)))
+
+    def test_attention_rejects_bad_heads_and_shapes(self):
+        q = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(DimensionError, match="heads"):
+            ad.attention(q, q, q, heads=3)
+        with pytest.raises(DimensionError, match="attention"):
+            ad.attention(q, Tensor(np.ones((2, 5, 4))), q, heads=2)
+
+    def test_attention_masked_key_gets_no_weight(self):
+        # values differ only at the hidden key: the output must not see it
+        rng = np.random.default_rng(0)
+        q, k = Tensor(rng.standard_normal((1, 3, 4))), Tensor(rng.standard_normal((1, 3, 4)))
+        v1 = rng.standard_normal((1, 3, 4))
+        v2 = v1.copy()
+        v2[0, 2] += 5.0
+        bias = Tensor(np.array([0.0, 0.0, -1e9])[None, None, None, :])
+        a = ad.attention(q, k, Tensor(v1), heads=2, bias=bias)
+        b = ad.attention(q, k, Tensor(v2), heads=2, bias=bias)
+        assert np.array_equal(a.data, b.data)
 
 
 class TestDeterminism:

@@ -199,3 +199,34 @@ class TestReport:
         assert main(["report", "--runs", str(d)]) == 0
         out = capsys.readouterr().out
         assert "r0,64,640,zero_shot_acc,0.5,1.5" in out
+
+    @staticmethod
+    def _run_dir(tmp_path, curve_rows="64,zero_shot_acc,0.5", timing_rows="64,1.5"):
+        d = tmp_path / "r0"
+        d.mkdir()
+        (d / "flops.json").write_text(json.dumps({"total_flops": 10}))
+        (d / "curve.csv").write_text(f"samples,metric,value\n{curve_rows}\n")
+        (d / "timing.csv").write_text(f"samples,seconds\n{timing_rows}\n")
+        return d
+
+    def test_malformed_curve_row_is_data_error(self, tmp_path, capsys):
+        d = self._run_dir(tmp_path, curve_rows="64;zero_shot_acc;0.5")
+        assert main(["report", "--runs", str(d)]) == 2
+        assert "curve.csv:2" in capsys.readouterr().err
+
+    def test_malformed_timing_row_is_data_error(self, tmp_path, capsys):
+        d = self._run_dir(tmp_path, timing_rows="64,abc")
+        assert main(["report", "--runs", str(d)]) == 2
+        assert "timing.csv:2" in capsys.readouterr().err
+
+    def test_wrong_timing_header_is_data_error(self, tmp_path, capsys):
+        d = self._run_dir(tmp_path)
+        (d / "timing.csv").write_text("seconds,samples\n1.5,64\n")
+        assert main(["report", "--runs", str(d)]) == 2
+        assert "timing.csv" in capsys.readouterr().err
+
+    def test_non_utf8_curve_is_data_error(self, tmp_path, capsys):
+        d = self._run_dir(tmp_path)
+        (d / "curve.csv").write_bytes(b"samples,metric,value\n64,acc\xff,0.5\n")
+        assert main(["report", "--runs", str(d)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err

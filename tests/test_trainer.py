@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from flip import autodiff as ad
 from flip.checkpoint import load_tensors, save_tensors
 from flip.data import generate_dataset
 from flip.errors import ConfigError, DataFormatError
@@ -207,6 +208,28 @@ class TestTrainStep:
             bundle.contrastive + bundle.rec_weight * bundle.reconstruction, rel=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "overrides, nodes",
+        [
+            (dict(mask_ratio=0.5), 105),
+            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 147),
+        ],
+        ids=["m50", "m75-rec"],
+    )
+    def test_tape_nodes_per_step(self, tiny_dataset, monkeypatch, overrides, nodes):
+        # one tape node per fused linear / attention: 12 per transformer block
+        recorded = []
+        backward = ad.Graph.backward
+
+        def counting(graph, loss):
+            recorded.append(len(graph.nodes))
+            return backward(graph, loss)
+
+        monkeypatch.setattr(ad.Graph, "backward", counting)
+        state = init_train_state(desk_config(**overrides))
+        train_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
+        assert recorded == [nodes]
+
 
 class TestDeterminismAndCheckpoints:
     def test_same_seed_bit_identical(self, tiny_dataset):
@@ -336,6 +359,15 @@ class TestUnmaskedTune:
         assert state.adam_t == 4
         unmasked_tune(state, tiny_dataset, tune_samples=64)
         assert state.adam_t == 1  # fresh moments, one tuning step applied
+
+    def test_no_reconstruction_when_nothing_is_hidden(self, tiny_dataset, caplog):
+        state = init_train_state(desk_config(mask_ratio=0.75, rec_weight=1.0))
+        bundles = []
+        unmasked_tune(state, tiny_dataset, tune_samples=128,
+                      on_step=lambda st, b: bundles.append(b))
+        assert [b.reconstruction for b in bundles] == [None, None]
+        assert all(b.total == b.contrastive for b in bundles)
+        assert "nothing is hidden" not in caplog.text
 
 
 class TestScalingAxes:
