@@ -3,9 +3,21 @@
 Sparse ViT encoding of visible patches, symmetric temperature-scaled
 InfoNCE, unmasked tuning, and the evaluation / FLOP-accounting tooling
 to study masking trade-offs on synthetic data.
+
+Importing the package pins BLAS to one thread unless the caller set
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``:
+the desk-scale matrices gain nothing from a second thread, and
+concurrent runs slow down several times over when their BLAS threads
+compete for the cores. The pin takes effect only if numpy has not been
+imported yet, and the thread count changes no computed value.
 """
 
-from . import autodiff
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import autodiff  # noqa: E402
 from .data import CLASS_NAMES, Dataset, generate_dataset, read_dataset, write_dataset
 from .encoders import EncoderConfig, encode_image, encode_text, init_params, patchify, preset
 from .evaluation import (

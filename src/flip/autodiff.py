@@ -3,7 +3,11 @@
 Design: a flat execution tape. Every differentiable op appends one node
 (output, inputs, backward closure) to the active ``Graph`` while it runs,
 so the tape is already in topological order and ``Graph.backward`` just
-walks it in reverse, accumulating gradients with ``+=``.
+walks it in reverse. A gradient is ``None`` until its first contribution,
+which becomes the buffer (``_accum_owned``) or is copied into it
+(``_accum``); later ones are added with ``+=``. A node output's gradient
+is dropped once its backward rule has run; leaves keep theirs until
+``zero_grad()``.
 
 Two numeric modes: training computes in float32; ``verification_mode()``
 switches new tensors to float64 so finite-difference gradient checks have
@@ -51,11 +55,11 @@ def verification_mode():
 
 
 class Tensor:
-    """Dense float array with an optional same-shape gradient buffer.
+    """Dense float array with an optional same-shape gradient.
 
-    ``requires_grad=True`` marks the tensor as tracked: it gets a zeroed
-    ``grad`` buffer at creation and backward passes accumulate into it.
-    Data is row-major and immutable by convention after the forward pass.
+    ``requires_grad=True`` marks the tensor as tracked: backward passes
+    accumulate into ``grad``, which stays ``None`` until they do. Data is
+    row-major and immutable by convention after the forward pass.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -63,7 +67,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _default_dtype)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
 
     @property
     def shape(self):
@@ -74,8 +78,7 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -121,27 +124,25 @@ class Graph:
         return False
 
     def backward(self, loss: Tensor):
-        """Accumulate d(loss)/d(tensor) into every tracked tensor's grad."""
+        """Accumulate d(loss)/d(leaf) into every tracked leaf's grad and
+        drop each node output's gradient once its rule has consumed it."""
         if loss.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
             raise ValueError("loss is not tracked; nothing to differentiate")
-        if loss.grad is None:
-            loss.grad = np.ones_like(loss.data)
-        else:
-            loss.grad[...] = 1.0
+        loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
             g = node.output.grad
             if g is None:
                 continue
             node.backward_fn(g)
+            node.output.grad = None
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """Mark ``out`` tracked and append a tape node if recording is active.
 
-    Intermediate grad buffers are created lazily on first accumulation;
-    a node whose output never received a gradient is skipped in backward.
+    A node whose output never received a gradient is skipped in backward.
     """
     if _active_graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -166,12 +167,6 @@ def _accum_owned(t: Tensor, g: np.ndarray) -> None:
         t.grad = g
     else:
         t.grad += g
-
-
-def _grad_buffer(t: Tensor) -> np.ndarray:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    return t.grad
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -455,13 +450,13 @@ def take_diagonal(x: Tensor) -> Tensor:
     """Diagonal of a square matrix."""
     if x.data.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionError(f"take_diagonal: needs a square matrix, got {x.shape}")
-    n = x.shape[0]
     out = Tensor(x.data.diagonal().copy())
 
     def backward(g):
         if x.requires_grad:
-            idx = np.arange(n)
-            _grad_buffer(x)[idx, idx] += g
+            gx = np.zeros_like(x.data)
+            np.fill_diagonal(gx, g)
+            _accum_owned(x, gx)
 
     return _record(out, (x,), backward)
 
@@ -487,7 +482,9 @@ def take_rows(x: Tensor, idx) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            np.add.at(_grad_buffer(x), idx, g)
+            gx = np.zeros_like(x.data)
+            np.add.at(gx, idx, g)
+            _accum_owned(x, gx)
 
     return _record(out, (x,), backward)
 

@@ -15,6 +15,7 @@ row-major order, a caption byte length u16, and the UTF-8 caption.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -57,9 +58,12 @@ class Dataset:
     def __len__(self):
         return self.images.shape[0]
 
-    @property
+    @functools.cached_property
     def labels(self) -> np.ndarray:
-        return np.asarray([class_of_caption(c) for c in self.captions], dtype=np.int64)
+        """Class index of every caption, parsed on first access (read-only)."""
+        labels = np.asarray([class_of_caption(c) for c in self.captions], dtype=np.int64)
+        labels.flags.writeable = False
+        return labels
 
 
 def class_of_caption(caption: str) -> int:

@@ -49,6 +49,13 @@ def _read_rows(path: Path, header: str, types: tuple) -> list[tuple]:
     return rows
 
 
+def write_rows(path, header: str, rows) -> None:
+    """A CSV file of ``header`` and one comma-joined line per row, the
+    format ``_read_rows`` reads back."""
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def read_curve(path: Path) -> list[tuple[int, str, float]]:
     """Rows (samples_seen, metric, value) of a run's curve.csv."""
     return _read_rows(path, CURVE_HEADER, (int, str, float))

@@ -27,7 +27,6 @@ from .data import Dataset, read_dataset
 from .encoders import (
     EncoderConfig,
     ImageTowerConfig,
-    PRESET_NAMES,
     TextTowerConfig,
     encode_image,
     encode_text,
@@ -52,7 +51,7 @@ from .objective import (
     project_and_normalize,
     reconstruction_loss,
 )
-from .report import CURVE_HEADER, TIMING_HEADER, read_curve
+from .report import CURVE_HEADER, TIMING_HEADER, read_curve, write_rows
 from .tokenizer import tokenize_batch
 
 logger = logging.getLogger(__name__)
@@ -203,8 +202,10 @@ def adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> bo
     """Bias-corrected Adam update with decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr*wd) separately from the
-    gradient step; the logit scale is exempt. A non-finite gradient
-    aborts the whole step (no update) and is reported, not raised.
+    gradient step; the logit scale is exempt. A parameter without an
+    entry in ``grads`` is left alone: no moment update and no decay. A
+    non-finite gradient aborts the whole step (no update) and is
+    reported, not raised.
     """
     for name, g in grads.items():
         if not np.isfinite(g).all():
@@ -300,7 +301,7 @@ def train_step(
             total = contrastive
         graph.backward(total)
 
-    grads = {k: p.grad for k, p in state.params.items()}
+    grads = {k: p.grad for k, p in state.params.items() if p.grad is not None}
     adamw_step(state, grads, lr)
     clamp_logit_scale(state)
     state.step += 1
@@ -444,32 +445,43 @@ def _geometry_config(geom: np.ndarray) -> EncoderConfig:
     )
 
 
-def load_state(path, config: Optional[TrainConfig] = None) -> TrainState:
+def _load_checkpoint(path) -> tuple[dict[str, np.ndarray], EncoderConfig, dict[str, Tensor]]:
+    """All stored tensors, the geometry and the parameters of a checkpoint."""
     tensors = load_tensors(path)
+    if "meta/geometry" not in tensors:
+        raise DataFormatError(f"{path}: missing checkpoint entry 'meta/geometry'")
+    params = {
+        key[len("param/") :]: ad.parameter(arr)
+        for key, arr in tensors.items() if key.startswith("param/")
+    }
+    if not params:
+        raise DataFormatError(f"{path}: checkpoint holds no parameters")
+    return tensors, _geometry_config(tensors["meta/geometry"]), params
+
+
+def load_state(path, config: TrainConfig) -> TrainState:
+    """Resume the training state stored at ``path`` under ``config``.
+
+    A checkpoint whose geometry is not ``config.preset``'s, whose seed is
+    not ``config.seed``, or that has no decoder while ``config`` trains
+    one is refused with ``ConfigError``.
+    """
+    tensors, enc_cfg, params = _load_checkpoint(path)
     try:
-        enc_cfg = _geometry_config(tensors["meta/geometry"])
         counters = tensors["meta/counters"]
         step, adam_t, samples_seen, aborted, seed = (
             _join_u48(counters[2 * i], counters[2 * i + 1]) for i in range(5)
         )
+        adam_m = {name: tensors[f"m/{name}"].astype(np.float32) for name in params}
+        adam_v = {name: tensors[f"v/{name}"].astype(np.float32) for name in params}
     except KeyError as e:
         raise DataFormatError(f"{path}: missing checkpoint entry {e}") from e
-    if config is None:
-        name = next(
-            (n for n in PRESET_NAMES if preset(n) == enc_cfg), "tiny"
-        )
-        config = TrainConfig(preset=name, seed=seed)
-    params: dict[str, Tensor] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    for key, arr in tensors.items():
-        if key.startswith("param/"):
-            name = key[len("param/") :]
-            params[name] = ad.parameter(arr)
-            adam_m[name] = tensors[f"m/{name}"].astype(np.float32)
-            adam_v[name] = tensors[f"v/{name}"].astype(np.float32)
-    if not params:
-        raise DataFormatError(f"{path}: checkpoint holds no parameters")
+    if enc_cfg != preset(config.preset):
+        raise ConfigError(f"{path}: stored geometry is not preset {config.preset!r}'s")
+    if seed != config.seed:
+        raise ConfigError(f"{path}: stored seed {seed} is not the config's {config.seed}")
+    if config.rec_weight > 0 and not any(name.startswith("dec/") for name in params):
+        raise ConfigError(f"{path}: rec_weight > 0 but the checkpoint has no decoder")
     return TrainState(
         config=config,
         encoder_config=enc_cfg,
@@ -485,8 +497,8 @@ def load_state(path, config: Optional[TrainConfig] = None) -> TrainState:
 
 def load_encoder(path) -> tuple[dict[str, Tensor], EncoderConfig]:
     """Parameters and geometry only, for evaluation."""
-    state = load_state(path)
-    return state.params, state.encoder_config
+    _, enc_cfg, params = _load_checkpoint(path)
+    return params, enc_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +553,10 @@ def run_pretraining(config: TrainConfig, out_dir) -> TrainState:
     if not curve_rows or curve_rows[-1][0] != state.samples_seen:
         eval_point()
 
-    _write_csv(out / "curve.csv", CURVE_HEADER, curve_rows)
-    _write_csv(out / "timing.csv", TIMING_HEADER, timing_rows)
+    write_rows(out / "curve.csv", CURVE_HEADER, curve_rows)
+    write_rows(out / "timing.csv", TIMING_HEADER, timing_rows)
     save_state(out / "final.ckpt", state)
     return state
-
-
-def _write_csv(path, header, rows):
-    lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 SCALING_AXES = ("model", "data", "schedule")

@@ -136,6 +136,33 @@ class TestGradients:
                 g.backward(y)
 
 
+class TestGradientLifecycle:
+    def test_tracked_tensor_starts_without_grad(self):
+        assert Tensor(np.ones((2, 2)), requires_grad=True).grad is None
+        assert ad.parameter(np.ones(3)).grad is None
+
+    def test_backward_drops_node_grads_and_keeps_leaf_grads(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        with Graph() as g:
+            h = ad.add(ad.gelu(ad.matmul(x, w)), ad.take_rows(table, [0, 2, 2, 4]))
+            g.backward(ad.mean_all(ad.take_diagonal(ad.matmul(h, ad.transpose(h)))))
+        assert len(g.nodes) == 8
+        assert all(node.output.grad is None for node in g.nodes)
+        for leaf in (x, w, table):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        assert np.array_equal(table.grad[[1, 3]], np.zeros((2, 3)))
+
+    def test_zero_grad_clears(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        backward_of(lambda: ad.sum_all(x))
+        assert np.array_equal(x.grad, np.ones((2, 2)))
+        x.zero_grad()
+        assert x.grad is None
+
+
 class TestFusedOps:
     """``linear`` and ``attention`` against the primitive chains they
     replace: bit-identical outputs and input gradients in float32."""

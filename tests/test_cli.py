@@ -9,7 +9,7 @@ import pytest
 from flip.checkpoint import save_tensors
 from flip.cli import main
 from flip.data import generate_dataset
-from flip.report import to_csv, tradeoff_report
+from flip.report import CURVE_HEADER, read_curve, to_csv, tradeoff_report, write_rows
 from flip.errors import ConfigError, DataFormatError
 from flip.trainer import TrainConfig, init_train_state, save_config, save_state
 
@@ -73,6 +73,22 @@ class TestExitCodes:
         assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
         assert "text_mask_policy" in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_mismatched_checkpoint_is_usage_error_and_writes_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        # the other refusals (geometry, missing decoder) take the same path
+        ckpt = tmp_path / "seed0.ckpt"
+        save_state(ckpt, init_train_state(TrainConfig(batch_size=64, warmup_samples=0,
+                                                      total_samples=64)))
+        config = tmp_path / "config.txt"
+        config.write_text((workspace / "config.txt").read_text().replace("seed = 0", "seed = 5"))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir),
+                     "--resume", str(ckpt)]) == 1
+        assert main(["tune-unmasked", "--ckpt", str(ckpt), "--config", str(config)]) == 1
+        assert "seed0.ckpt" in capsys.readouterr().err
+        assert not out_dir.exists() and not (tmp_path / "seed0.ckpt.tuned").exists()
 
     def test_gen_data_success(self, tmp_path):
         out = tmp_path / "g.flipds"
@@ -144,6 +160,11 @@ class TestTrainEvalRoundTrip:
 
 
 class TestReport:
+    def test_written_curve_reads_back(self, tmp_path):
+        rows = [(64, "zero_shot_acc", 0.25), (128, "zero_shot_acc", 0.5)]
+        write_rows(tmp_path / "curve.csv", CURVE_HEADER, rows)
+        assert read_curve(tmp_path / "curve.csv") == rows
+
     def test_empty_run_list_rejected(self):
         with pytest.raises(ConfigError):
             tradeoff_report([])

@@ -55,6 +55,24 @@ class TestGenerator:
             color, shape = CLASS_NAMES[label].split()
             assert color in caption and shape in caption
 
+    def test_labels_parsed_once_and_read_only(self, monkeypatch):
+        import flip.data
+
+        calls = []
+
+        def counting(caption):
+            calls.append(caption)
+            return class_of_caption(caption)
+
+        monkeypatch.setattr(flip.data, "class_of_caption", counting)
+        captions = ["a red circle", "a blue cross", "the green square"]
+        ds = Dataset(np.zeros((3, 32, 32, 3), np.uint8), captions)
+        first, second = ds.labels, ds.labels
+        assert len(calls) == 3 and second is first
+        assert list(first) == [class_of_caption(c) for c in ds.captions]
+        with pytest.raises(ValueError):
+            first[0] = 0
+
     def test_shape_pixels_present(self):
         # the drawn shape must be visibly distinct from the background
         img, caption = make_record(0, 3)

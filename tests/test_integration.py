@@ -1,12 +1,17 @@
 """Cross-module flows: run directories, the scaling harness, CLI resume
-and tuning, concurrent evaluation."""
+and tuning, concurrent evaluation, the BLAS thread pin on import."""
 
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flip
 from flip.cli import main
 from flip.data import generate_dataset, read_dataset
 from flip.encoders import init_params, preset
@@ -114,6 +119,21 @@ class TestConcurrentEvaluation:
                        for lo in range(0, 48, 16)]
             parallel = np.concatenate([f.result() for f in futures])
         assert np.allclose(serial, parallel, atol=1e-6)
+
+
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("2", "2")])
+    def test_import_pins_one_thread_unless_set(self, user_value, expected):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = str(Path(flip.__file__).parents[1])
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        show = "import os, flip; print(*(os.environ[v] for v in %r))" % (self.VARS,)
+        out = subprocess.run([sys.executable, "-c", show], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == [expected, "1", "1"]
 
 
 class TestVocabularyFile:

@@ -18,6 +18,7 @@ from flip.trainer import (
     effective_lr,
     init_train_state,
     load_config,
+    load_encoder,
     load_state,
     lr_at,
     pretrain,
@@ -172,6 +173,14 @@ class TestAdamW:
         for k, p in state.params.items():
             assert np.array_equal(p.data, before[k])
 
+    def test_parameter_without_gradient_is_left_alone(self):
+        state = self._state(weight_decay=0.2)
+        before = state.params["img/pos"].data.copy()
+        grads = {k: np.ones_like(p.data) for k, p in state.params.items() if k != "img/pos"}
+        assert adamw_step(state, grads, lr=0.05)
+        assert np.array_equal(state.params["img/pos"].data, before)
+        assert not state.adam_m["img/pos"].any() and not state.adam_v["img/pos"].any()
+
 
 class TestTrainStep:
     def test_initial_loss_near_ln_b(self, tiny_dataset):
@@ -264,7 +273,9 @@ class TestDeterminismAndCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(DataFormatError):
-            load_state(path)
+            load_state(path, desk_config())
+        with pytest.raises(DataFormatError):
+            load_encoder(path)
 
     def test_checkpoint_rejects_non_utf8_name(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -283,9 +294,24 @@ class TestDeterminismAndCheckpoints:
         state = init_train_state(desk_config(warmup_samples=0, total_samples=64))
         pretrain(state, tiny_dataset)
         save_state(tmp_path / "x.ckpt", state)
-        loaded = load_state(tmp_path / "x.ckpt")
-        assert loaded.encoder_config == state.encoder_config
-        assert loaded.config.seed == state.config.seed
+        params, enc_cfg = load_encoder(tmp_path / "x.ckpt")
+        assert enc_cfg == state.encoder_config
+        assert params.keys() == state.params.keys()
+        assert all(np.array_equal(params[k].data, p.data) for k, p in state.params.items())
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(preset="small"), "geometry"),
+            (dict(seed=5), "seed"),
+            (dict(rec_weight=1.0), "decoder"),
+        ],
+        ids=["preset", "seed", "no-decoder"],
+    )
+    def test_load_state_refuses_a_mismatched_config(self, tmp_path, overrides, message):
+        save_state(tmp_path / "x.ckpt", init_train_state(desk_config()))
+        with pytest.raises(ConfigError, match=message):
+            load_state(tmp_path / "x.ckpt", desk_config(**overrides))
 
 
 class TestGoldenLosses:
@@ -359,6 +385,17 @@ class TestUnmaskedTune:
         assert state.adam_t == 4
         unmasked_tune(state, tiny_dataset, tune_samples=64)
         assert state.adam_t == 1  # fresh moments, one tuning step applied
+
+    def test_decoder_untouched_when_not_trained(self, tiny_dataset):
+        state = init_train_state(desk_config(mask_ratio=0.75, rec_weight=1.0))
+        pretrain(state, tiny_dataset, n_steps=2)
+        decoder = {k: p.data.copy() for k, p in state.params.items() if k.startswith("dec/")}
+        encoder = {k: p.data.copy() for k, p in state.params.items() if k.startswith("img/")}
+        unmasked_tune(state, tiny_dataset, tune_samples=128)
+        assert decoder
+        for k, before in decoder.items():
+            assert np.array_equal(state.params[k].data, before), k
+        assert any(not np.array_equal(state.params[k].data, v) for k, v in encoder.items())
 
     def test_no_reconstruction_when_nothing_is_hidden(self, tiny_dataset, caplog):
         state = init_train_state(desk_config(mask_ratio=0.75, rec_weight=1.0))
