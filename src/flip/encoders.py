@@ -10,8 +10,13 @@ same weights later run on full-length sequences.
 The text tower is a non-autoregressive transformer over fixed-length
 token sequences. Padding tokens are hidden from attention keys and from
 pooling, so an embedding depends only on the valid tokens and their
-positions; visible padding is inert. Both towers end with a final
-layer norm and average pooling (no class token).
+positions; visible padding is inert. It is also not computed: the tower
+runs only up to the last visible column that holds a valid token, which
+on sorted mask rows is the batch's longest visible valid prefix. The
+exception is a batch with a sample whose visible tokens are all padding;
+that sample attends to and pools over everything visible, so the batch
+keeps its full visible width. Both towers end with a final layer norm
+and average pooling (no class token).
 """
 
 from __future__ import annotations
@@ -299,9 +304,13 @@ def encode_text(
     """Pooled text features over visible non-padding tokens.
 
     Visible padding tokens are masked out of attention keys, so they
-    cannot influence any other position; pooling likewise skips them. A
-    sample whose visible tokens are all padding falls back to attending
-    and pooling over everything visible.
+    cannot influence any other position; pooling likewise skips them.
+    The tower runs only up to the last visible column that holds a valid
+    token in some row: the padding columns past it are not computed at
+    all. On the sorted rows that flip's masks hold, that is the batch's
+    longest visible valid prefix. A sample whose visible tokens are all
+    padding falls back to attending and pooling over everything visible,
+    so a batch holding one keeps the full visible width.
     """
     txt = config.text
     b, length = batch.token_ids.shape
@@ -310,16 +319,21 @@ def encode_text(
     if mask is None:
         mask = full_mask(length, b)
     _check_mask(mask, length, "token")
-    v = mask.n_visible
-
-    vis_ids = batch.token_ids[np.arange(b)[:, None], mask.visible]  # [B, v]
-    tok = ad.take_rows(params["txt/tok_emb"], vis_ids.ravel())
-    pos = ad.take_rows(params["txt/pos"], mask.visible.ravel())
-    x = ad.reshape(ad.add(tok, pos), (b, v, txt.width))
 
     is_valid = mask.visible < batch.valid_lengths[:, None]  # [B, v]
     any_valid = is_valid.any(axis=1)
-    key_ok = np.where(any_valid[:, None], is_valid, True)
+    if any_valid.all():
+        # columns past the last valid one get zero weight in every row
+        v = int(np.flatnonzero(is_valid.any(axis=0)).max(initial=-1)) + 1
+        visible, key_ok = mask.visible[:, :v], is_valid[:, :v]
+    else:
+        visible, v = mask.visible, mask.n_visible
+        key_ok = np.where(any_valid[:, None], is_valid, True)
+
+    vis_ids = batch.token_ids[np.arange(b)[:, None], visible]  # [B, v]
+    tok = ad.take_rows(params["txt/tok_emb"], vis_ids.ravel())
+    pos = ad.take_rows(params["txt/pos"], visible.ravel())
+    x = ad.reshape(ad.add(tok, pos), (b, v, txt.width))
     bias = Tensor(np.where(key_ok, 0.0, ATTN_MASK_VALUE)[:, None, None, :])
 
     for i in range(txt.layers):

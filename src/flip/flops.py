@@ -7,6 +7,11 @@ score and value matmuls. The image patch-embedding projection is
 included (about 0.5% of a large tower); token-embedding lookups and
 elementwise costs (layer norm, softmax, GELU, sub-1% at these widths)
 are not. All counts are per sample.
+
+The text tower is counted at ``visible_count(seq_len, ratio)`` tokens.
+That is an upper bound on what runs: ``encode_text`` computes only up
+to the longest visible valid (non-padding) prefix in the batch, so on
+short captions the measured text cost sits below this count.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ class FlopReport:
 
     ``text_fraction`` is text-tower cost relative to the unmasked image
     tower, so it does not move with the image masking ratio.
+    ``text_flops`` counts ``visible_count(seq_len, text_mask_ratio)``
+    tokens, the upper bound: padding past a batch's longest visible
+    valid prefix is never computed.
     """
 
     mask_ratio: float

@@ -436,13 +436,20 @@ def save_state(path, state: TrainState) -> None:
     save_tensors(path, tensors)
 
 
-def _geometry_config(geom: np.ndarray) -> EncoderConfig:
-    vals = [int(round(float(x))) for x in geom]
-    return EncoderConfig(
-        image=ImageTowerConfig(*vals[0:5]),
-        text=TextTowerConfig(*vals[5:10]),
-        embed_dim=vals[10],
-    )
+def _geometry_config(geom: np.ndarray, path) -> EncoderConfig:
+    """The encoder geometry stored by ``save_state``: 11 positive integers."""
+    if geom.shape != (11,) or not (np.isfinite(geom).all() and (geom > 0).all()
+                                   and (geom == np.round(geom)).all()):
+        raise DataFormatError(f"{path}: 'meta/geometry' is not 11 positive integers")
+    vals = [int(x) for x in geom]
+    try:
+        return EncoderConfig(
+            image=ImageTowerConfig(*vals[0:5]),
+            text=TextTowerConfig(*vals[5:10]),
+            embed_dim=vals[10],
+        )
+    except ConfigError as e:
+        raise DataFormatError(f"{path}: invalid stored geometry: {e}") from e
 
 
 def _load_checkpoint(path) -> tuple[dict[str, np.ndarray], EncoderConfig, dict[str, Tensor]]:
@@ -456,7 +463,7 @@ def _load_checkpoint(path) -> tuple[dict[str, np.ndarray], EncoderConfig, dict[s
     }
     if not params:
         raise DataFormatError(f"{path}: checkpoint holds no parameters")
-    return tensors, _geometry_config(tensors["meta/geometry"]), params
+    return tensors, _geometry_config(tensors["meta/geometry"], path), params
 
 
 def load_state(path, config: TrainConfig) -> TrainState:

@@ -65,6 +65,14 @@ class TestExitCodes:
                      "--task", "zero-shot"]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_eval_on_short_geometry_is_data_error(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "geom.ckpt"
+        save_tensors(ckpt, {"meta/geometry": np.array([4, 64, 4], dtype=np.float32),
+                            "param/w": np.zeros((2, 2))})
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
+                     "--task", "zero-shot"]) == 2
+        assert "meta/geometry" in capsys.readouterr().err
+
     def test_train_with_unknown_text_policy_writes_nothing(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text((workspace / "config.txt").read_text().replace(

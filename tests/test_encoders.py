@@ -19,7 +19,7 @@ from flip.encoders import (
 )
 from flip.errors import ConfigError, DimensionError
 from flip.masking import PatchMask, full_mask, sample_patch_mask, sample_text_mask
-from flip.tokenizer import tokenize_batch
+from flip.tokenizer import TokenizedBatch, tokenize_batch
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +177,62 @@ class TestEncodeText:
             out = encode_text(batch, m, params, cfg)
             g.backward(ad.mean_all(out))
         assert np.abs(params["txt/tok_emb"].grad).max() > 0
+
+    @staticmethod
+    def _encode_on_tape(batch, mask, params, cfg):
+        """Pooled output and the widest sequence axis among 3-D tape activations."""
+        with ad.Graph() as g:
+            out = encode_text(batch, mask, params, cfg)
+        return out.data, max(n.output.shape[1] for n in g.nodes if n.output.data.ndim == 3)
+
+    def test_batch_runs_only_to_its_longest_caption(self, tiny):
+        cfg, params = tiny
+        captions = ["a photo of a small red circle", "a red circle", "a blue square"]
+        batch = tokenize_batch(captions)
+        assert batch.valid_lengths.tolist() == [7, 3, 3]
+        out, widest = self._encode_on_tape(batch, None, params, cfg)
+        assert widest == 7
+        for row, caption in zip(out, captions):
+            alone = encode_text(tokenize_batch([caption]), None, params, cfg).data[0]
+            assert np.allclose(row, alone, atol=1e-6)
+
+    def test_batch_with_empty_caption_keeps_full_width(self, tiny):
+        cfg, params = tiny
+        batch = tokenize_batch(["", "a red circle", "a photo of a small red circle"])
+        out, widest = self._encode_on_tape(batch, None, params, cfg)
+        assert widest == cfg.text.seq_len
+        assert np.isfinite(out).all()
+
+    def test_pos_rows_past_longest_caption_get_no_gradient(self, tiny):
+        cfg, params = tiny
+        batch = tokenize_batch(["a photo of a small red circle", "a red circle"])
+        m = sample_text_mask(batch, 0.5, "prioritized", np.random.default_rng(0))
+        for p in params.values():
+            p.zero_grad()
+        with ad.Graph() as g:
+            g.backward(ad.mean_all(encode_text(batch, m, params, cfg)))
+        grad = params["txt/pos"].grad
+        assert np.abs(grad[:7]).max() > 0
+        assert not grad[7:].any()
+
+    def test_unsorted_visible_rows_match_sorted(self, tiny):
+        cfg, params = tiny
+        batch = tokenize_batch(["a photo of a small red circle", "a red circle", "a blue square"])
+        m = sample_text_mask(batch, 0.5, "prioritized", np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        shuffled = PatchMask(
+            ratio=m.ratio,
+            visible=np.stack([rng.permutation(row) for row in m.visible]),
+            hidden=m.hidden,
+            n_total=m.n_total,
+        )
+        base = encode_text(batch, m, params, cfg).data
+        permuted = encode_text(batch, shuffled, params, cfg).data
+        assert np.isfinite(permuted).all()
+        assert np.allclose(base, permuted, atol=1e-5)
+
+    def test_zero_row_batch(self, tiny):
+        cfg, params = tiny
+        batch = TokenizedBatch(token_ids=np.zeros((0, cfg.text.seq_len), dtype=np.int64),
+                               valid_lengths=np.zeros(0, dtype=np.int64))
+        assert encode_text(batch, None, params, cfg).shape == (0, cfg.text.width)

@@ -277,6 +277,19 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(DataFormatError):
             load_encoder(path)
 
+    @pytest.mark.parametrize("geometry", [
+        [4, 64, 4, 8, 32, 2, 64, 4, 32, 100],  # 10 values
+        [4, 64, 4, 8, 32, 2, 64, 4, 32, 100, 0.5],  # not an integer
+        [4, 64, 4, 8, 32, 2, 64, -4, 32, 100, 64],  # not positive
+        [4, 64, 5, 8, 32, 2, 64, 4, 32, 100, 64],  # 5 heads do not divide width 64
+    ], ids=["short", "fraction", "negative", "heads"])
+    def test_checkpoint_rejects_bad_geometry(self, tmp_path, geometry):
+        path = tmp_path / "geom.ckpt"
+        save_tensors(path, {"meta/geometry": np.array(geometry, dtype=np.float32),
+                            "param/w": np.zeros(2)})
+        with pytest.raises(DataFormatError, match="geometry"):
+            load_encoder(path)
+
     def test_checkpoint_rejects_non_utf8_name(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_tensors(path, {"param/w": np.zeros(2)})
