@@ -471,12 +471,13 @@ def _check_indices(idx: np.ndarray, n: int, require_unique: bool):
 def take_rows(x: Tensor, idx) -> Tensor:
     """Select rows of a 2-D tensor; indices may repeat (embedding tables).
 
+    ``idx`` may have any shape; the output is ``idx.shape + (d,)``.
     Backward scatter-adds the output gradient into the selected rows and
     leaves every other row's gradient untouched (zero contribution).
     """
     if x.data.ndim != 2:
         raise DimensionError(f"take_rows: needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    idx = np.asarray(idx, dtype=np.int64)
     _check_indices(idx, x.shape[0], require_unique=False)
     out = Tensor(x.data[idx])
 
@@ -692,6 +693,8 @@ def _default_checks() -> dict[str, OpCheck]:
             take_rows,
             lambda rng: ([t(rng, (6, 3))], {"idx": rng.integers(0, 6, size=8)}),
         ),
+        OpCheck("take_rows_2d_idx", take_rows,
+                lambda rng: ([t(rng, (6, 3))], {"idx": rng.integers(0, 6, size=(2, 4))})),
         OpCheck(
             "scatter_rows",
             scatter_rows,

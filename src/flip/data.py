@@ -138,6 +138,8 @@ def write_dataset(path, ds: Dataset) -> None:
     n, h, w, c = ds.images.shape
     if len(ds.captions) != n:
         raise DataFormatError(f"{n} images but {len(ds.captions)} captions")
+    if n == 0:
+        raise DataFormatError("a dataset needs at least one record")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IHHB", n, h, w, c))
@@ -161,6 +163,8 @@ def read_dataset(path) -> Dataset:
     except struct.error as e:
         raise DataFormatError(f"{path}: truncated header") from e
     off += struct.calcsize("<IHHB")
+    if n == 0:
+        raise DataFormatError(f"{path}: holds no records")
     img_bytes = h * w * c
     if n * (img_bytes + 2) > len(raw) - off:
         raise DataFormatError(f"{path}: header claims {n} records of {h}x{w}x{c}, "

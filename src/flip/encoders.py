@@ -10,13 +10,12 @@ same weights later run on full-length sequences.
 The text tower is a non-autoregressive transformer over fixed-length
 token sequences. Padding tokens are hidden from attention keys and from
 pooling, so an embedding depends only on the valid tokens and their
-positions; visible padding is inert. It is also not computed: the tower
-runs only up to the last visible column that holds a valid token, which
-on sorted mask rows is the batch's longest visible valid prefix. The
-exception is a batch with a sample whose visible tokens are all padding;
-that sample attends to and pools over everything visible, so the batch
-keeps its full visible width. Both towers end with a final layer norm
-and average pooling (no class token).
+positions; visible padding is inert. It is also not computed: every
+batch runs only up to the last visible column that holds a valid token
+in some row, which on sorted mask rows is the batch's longest visible
+valid prefix. A sample with no valid visible token attends to and pools
+over every column the batch runs. Both towers end with a final layer
+norm and average pooling (no class token).
 """
 
 from __future__ import annotations
@@ -279,13 +278,10 @@ def encode_image(
     if mask is None:
         mask = full_mask(n, b)
     _check_mask(mask, n, "patch")
-    v = mask.n_visible
 
     raw = patches[np.arange(b)[:, None], mask.visible]  # [B, v, pd], constant input
-    x = ad.linear(Tensor(raw.reshape(b * v, pd)), params["img/patch_embed/w"],
-                  params["img/patch_embed/b"])
-    pos = ad.take_rows(params["img/pos"], mask.visible.ravel())
-    x = ad.reshape(ad.add(x, pos), (b, v, img.width))
+    x = ad.linear(Tensor(raw), params["img/patch_embed/w"], params["img/patch_embed/b"])
+    x = ad.add(x, ad.take_rows(params["img/pos"], mask.visible))
     for i in range(img.layers):
         x = transformer_block(x, params, f"img/blk{i}", img.heads)
     x = ad.layer_norm(x, params["img/ln_f/g"], params["img/ln_f/b"])
@@ -305,12 +301,12 @@ def encode_text(
 
     Visible padding tokens are masked out of attention keys, so they
     cannot influence any other position; pooling likewise skips them.
-    The tower runs only up to the last visible column that holds a valid
-    token in some row: the padding columns past it are not computed at
-    all. On the sorted rows that flip's masks hold, that is the batch's
-    longest visible valid prefix. A sample whose visible tokens are all
-    padding falls back to attending and pooling over everything visible,
-    so a batch holding one keeps the full visible width.
+    The batch runs only up to the last visible column that holds a valid
+    token in some row (all ``mask.n_visible`` columns if no row has one):
+    the padding columns past it are not computed at all. On the sorted
+    rows that flip's masks hold, that is the batch's longest visible
+    valid prefix. A sample with no valid visible token attends to and
+    pools over every column the batch runs.
     """
     txt = config.text
     b, length = batch.token_ids.shape
@@ -321,19 +317,14 @@ def encode_text(
     _check_mask(mask, length, "token")
 
     is_valid = mask.visible < batch.valid_lengths[:, None]  # [B, v]
-    any_valid = is_valid.any(axis=1)
-    if any_valid.all():
-        # columns past the last valid one get zero weight in every row
-        v = int(np.flatnonzero(is_valid.any(axis=0)).max(initial=-1)) + 1
-        visible, key_ok = mask.visible[:, :v], is_valid[:, :v]
-    else:
-        visible, v = mask.visible, mask.n_visible
-        key_ok = np.where(any_valid[:, None], is_valid, True)
+    # run to the last column valid in some row; all visible ones if none is
+    v = int(np.flatnonzero(is_valid.any(axis=0)).max(initial=-1)) + 1 or mask.n_visible
+    visible, is_valid = mask.visible[:, :v], is_valid[:, :v]
+    key_ok = is_valid | ~is_valid.any(axis=1, keepdims=True)
 
     vis_ids = batch.token_ids[np.arange(b)[:, None], visible]  # [B, v]
-    tok = ad.take_rows(params["txt/tok_emb"], vis_ids.ravel())
-    pos = ad.take_rows(params["txt/pos"], visible.ravel())
-    x = ad.reshape(ad.add(tok, pos), (b, v, txt.width))
+    x = ad.add(ad.take_rows(params["txt/tok_emb"], vis_ids),
+               ad.take_rows(params["txt/pos"], visible))
     bias = Tensor(np.where(key_ok, 0.0, ATTN_MASK_VALUE)[:, None, None, :])
 
     for i in range(txt.layers):

@@ -149,16 +149,15 @@ def load_config(path) -> TrainConfig:
         key, value = key.strip(), value.strip()
         if key not in fields:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        ftype = fields[key].type
-        if key == "betas":
-            parts = value.replace("(", "").replace(")", "").split(",")
-            kwargs[key] = (float(parts[0]), float(parts[1]))
-        elif ftype == "int":
-            kwargs[key] = int(value)
-        elif ftype == "float":
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        parse = {"int": int, "float": float}.get(fields[key].type, str)
+        try:
+            if key == "betas":  # exactly two floats
+                beta1, beta2 = map(float, value.replace("(", "").replace(")", "").split(","))
+                kwargs[key] = (beta1, beta2)
+            else:
+                kwargs[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return TrainConfig(**kwargs)
 
 

@@ -71,6 +71,13 @@ class TestForwardValues:
         x = Tensor(np.arange(8.0).reshape(4, 2))
         assert np.array_equal(ad.take_rows(x, range(4)).data, x.data)
 
+    def test_take_rows_keeps_index_shape(self):
+        x = Tensor(np.arange(8.0).reshape(4, 2))
+        idx = np.array([[3, 0, 3], [1, 1, 2]])
+        out = ad.take_rows(x, idx)
+        assert out.shape == (2, 3, 2)
+        assert np.array_equal(out.data, x.data[idx])
+
     def test_take_rows_rejects_bad_indices(self):
         x = Tensor(np.zeros((4, 2)))
         with pytest.raises(IndexError):

@@ -8,7 +8,7 @@ import pytest
 
 from flip.checkpoint import save_tensors
 from flip.cli import main
-from flip.data import generate_dataset
+from flip.data import MAGIC, generate_dataset
 from flip.report import CURVE_HEADER, read_curve, to_csv, tradeoff_report, write_rows
 from flip.errors import ConfigError, DataFormatError
 from flip.trainer import TrainConfig, init_train_state, save_config, save_state
@@ -72,6 +72,25 @@ class TestExitCodes:
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
                      "--task", "zero-shot"]) == 2
         assert "meta/geometry" in capsys.readouterr().err
+
+    def test_train_with_malformed_value_is_usage_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text((workspace / "config.txt").read_text().replace(
+            "batch_size = 64", "batch_size = abc"))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert "'batch_size'" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_eval_on_empty_dataset_is_data_error(self, tmp_path, capsys):
+        cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
+        save_state(tmp_path / "init.ckpt", init_train_state(cfg))
+        data = tmp_path / "empty.flipds"
+        data.write_bytes(MAGIC + struct.pack("<IHHB", 0, 32, 32, 3))
+        for task in ("zero-shot", "retrieval", "linear-probe", "modes"):
+            assert main(["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data", str(data),
+                         "--task", task]) == 2
+            assert "no records" in capsys.readouterr().err
 
     def test_train_with_unknown_text_policy_writes_nothing(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.txt"

@@ -118,6 +118,18 @@ class TestContainer:
         with pytest.raises(DataFormatError):
             write_dataset(tmp_path / "x.flipds", ds)
 
+    def test_empty_dataset_rejected_on_write(self, tmp_path):
+        ds = Dataset(images=np.zeros((0, 32, 32, 3), dtype=np.uint8), captions=[])
+        with pytest.raises(DataFormatError, match="at least one record"):
+            write_dataset(tmp_path / "x.flipds", ds)
+        assert not (tmp_path / "x.flipds").exists()
+
+    def test_zero_records_rejected_on_read(self, tmp_path):
+        path = tmp_path / "empty.flipds"
+        path.write_bytes(MAGIC + struct.pack("<IHHB", 0, 32, 32, 3))
+        with pytest.raises(DataFormatError, match="no records"):
+            read_dataset(path)
+
     def test_unwritable_path(self):
         ds = Dataset(images=np.zeros((1, 32, 32, 3), dtype=np.uint8), captions=["a red circle"])
         with pytest.raises(OSError):

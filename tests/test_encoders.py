@@ -196,9 +196,40 @@ class TestEncodeText:
             alone = encode_text(tokenize_batch([caption]), None, params, cfg).data[0]
             assert np.allclose(row, alone, atol=1e-6)
 
-    def test_batch_with_empty_caption_keeps_full_width(self, tiny):
+    def test_batch_with_empty_caption_runs_only_to_its_longest_caption(self, tiny):
         cfg, params = tiny
         batch = tokenize_batch(["", "a red circle", "a photo of a small red circle"])
+        out, widest = self._encode_on_tape(batch, None, params, cfg)
+        assert widest == 7
+        assert np.isfinite(out).all()
+
+    def test_random_draw_without_valid_token_runs_only_to_last_valid_column(self, tiny):
+        cfg, params = tiny
+        batch = tokenize_batch(["a red circle", "a photo of a small red circle", "the blue square"])
+        m = sample_text_mask(batch, 0.5, "random", np.random.default_rng(2))
+        is_valid = m.visible < batch.valid_lengths[:, None]
+        assert is_valid.any(axis=1).tolist() == [False, True, True]
+        v = int(np.flatnonzero(is_valid.any(axis=0)).max()) + 1
+        assert v < m.n_visible
+        out, widest = self._encode_on_tape(batch, m, params, cfg)
+        assert widest == v
+        assert np.isfinite(out).all()
+
+        def alone(i, visible):
+            one = TokenizedBatch(token_ids=batch.token_ids[i : i + 1],
+                                 valid_lengths=batch.valid_lengths[i : i + 1])
+            row = PatchMask(ratio=m.ratio, visible=visible, hidden=m.hidden[i : i + 1],
+                            n_total=m.n_total)
+            return encode_text(one, row, params, cfg).data[0]
+
+        # the row without a valid token pools over the v columns the batch runs
+        assert np.allclose(out[0], alone(0, m.visible[:1, :v]), atol=1e-6)
+        for i in (1, 2):
+            assert np.allclose(out[i], alone(i, m.visible[i : i + 1]), atol=1e-6)
+
+    def test_batch_without_valid_token_keeps_full_width(self, tiny):
+        cfg, params = tiny
+        batch = tokenize_batch(["", ""])
         out, widest = self._encode_on_tape(batch, None, params, cfg)
         assert widest == cfg.text.seq_len
         assert np.isfinite(out).all()
