@@ -11,7 +11,8 @@ is dropped once its backward rule has run; leaves keep theirs until
 
 Two numeric modes: training computes in float32; ``verification_mode()``
 switches new tensors to float64 so finite-difference gradient checks have
-enough headroom.
+enough headroom. Only GELU's erf differs between them: scipy's exact erf
+in float64, a cache-blocked rational erf in float32.
 
 The op set is deliberately small: exactly what transformer encoders and
 the contrastive / reconstruction losses need, each registered with a
@@ -214,11 +215,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, d_out)
         if b.requires_grad:
-            _accum(b, g2.sum(axis=0))
+            _accum_owned(b, g2.sum(axis=0))
         if x.requires_grad:
             _accum_owned(x, (g2 @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            _accum(w, x2.T @ g2)
+            _accum_owned(w, x2.T @ g2)
 
     return _record(out, (x, w, b), backward)
 
@@ -314,21 +315,103 @@ def clamp_max(x: Tensor, cap: float) -> Tensor:
     return _record(out, (x,), backward)
 
 
+# Eigen's and XLA's float32 erf: an odd 7-term over an even 5-term
+# polynomial in z, coefficients highest power first. With z clamped to
+# [-4, 4] it stays within 8 ulp of erf and gives exactly +-1 past the clamp.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+# Elements per pass of the blocked elementwise kernels (256 KB of
+# float32): each of a kernel's ~25 passes then reads its operands from
+# cache instead of streaming the whole activation from memory.
+_BLOCK = 1 << 16
+
+
+def _blocks(*arrays: np.ndarray):
+    """Matching ``_BLOCK``-sized slices of equally long flat arrays."""
+    for s in range(0, arrays[0].size, _BLOCK):
+        yield tuple(a[s : s + _BLOCK] for a in arrays)
+
+
+def _erf32(z: np.ndarray, out: np.ndarray, z2: np.ndarray) -> None:
+    """Rational float32 erf of the block ``z`` into ``out``; ``z`` and
+    ``z2`` are overwritten as scratch. NaN stays NaN."""
+    np.clip(z, -4.0, 4.0, out=z)
+    np.multiply(z, z, out=z2)
+    np.multiply(z2, _ERF_P[0], out=out)
+    out += _ERF_P[1]
+    for c in _ERF_P[2:]:
+        out *= z2
+        out += c
+    out *= z
+    np.multiply(z2, _ERF_Q[0], out=z)
+    z += _ERF_Q[1]
+    for c in _ERF_Q[2:]:
+        z *= z2
+        z += c
+    out /= z
+
+
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of ``x`` and the ``erf(x / sqrt(2))`` term its gradient reuses,
+    blockwise over preallocated scratch. float32 takes the rational erf;
+    float64 (``verification_mode``) keeps scipy's exact erf."""
+    xf = x.reshape(-1)
+    out, e = np.empty_like(xf), np.empty_like(xf)
+    z, z2 = np.empty((2, min(xf.size, _BLOCK)), x.dtype)
+    for xb, eb, ob in _blocks(xf, e, out):
+        zb, z2b = z[: xb.size], z2[: xb.size]
+        np.multiply(xb, _INV_SQRT2, out=zb)
+        if x.dtype == np.float32:
+            _erf32(zb, eb, z2b)
+        else:
+            erf(zb, out=eb)
+        np.multiply(xb, 0.5, out=ob)
+        np.add(eb, 1.0, out=zb)
+        ob *= zb
+    return out.reshape(x.shape), e.reshape(x.shape)
+
+
+def _gelu_backward(x: np.ndarray, e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g * (0.5 * (1 + e) + x * pdf(x))`` blockwise, into a fresh array."""
+    xf, ef, gf = x.reshape(-1), e.reshape(-1), g.reshape(-1)
+    gx = np.empty_like(xf)
+    t, u = np.empty((2, min(xf.size, _BLOCK)), x.dtype)
+    for xb, eb, gb, gxb in _blocks(xf, ef, gf, gx):
+        tb, ub = t[: xb.size], u[: xb.size]
+        np.multiply(xb, -0.5, out=tb)
+        tb *= xb
+        np.exp(tb, out=tb)
+        tb *= _INV_SQRT2PI
+        tb *= xb
+        np.add(eb, 1.0, out=ub)
+        ub *= 0.5
+        ub += tb
+        np.multiply(gb, ub, out=gxb)
+    return gx.reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    e = erf(x.data * _INV_SQRT2)
-    out = Tensor(0.5 * x.data * (1.0 + e))
+    """erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))), with erf exact in
+    float64 and within 8 ulp in float32."""
+    y, e = _gelu_forward(x.data)
+    out = Tensor(y)
 
     def backward(g):
         if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            _accum(x, g * (0.5 * (1.0 + e) + x.data * pdf))
+            _accum_owned(x, _gelu_backward(x.data, e, g))
 
     return _record(out, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Zero mean / unit variance over the last axis, then affine."""
+    """Zero mean / unit variance over the last axis, then affine.
+
+    Every row mean is one BLAS matrix-vector product against a constant
+    ``1/d`` column (or ``gain/d`` in the backward pass).
+    """
     d = x.shape[-1] if x.data.ndim else 0
     if d == 0:
         raise DimensionError("layer_norm: empty last axis")
@@ -336,25 +419,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise DimensionError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match axis {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    x2 = x.data.reshape(-1, d)
+    mean_col = np.full((d, 1), 1.0 / d, dtype=x2.dtype)
+    xhat = x2 - x2 @ mean_col
+    y = np.square(xhat)
+    inv = y @ mean_col
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y.reshape(x.shape))
 
     def backward(g):
+        g2 = g.reshape(-1, d)
+        gx = g2 * xhat
         if gain.requires_grad:
-            _accum(gain, np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
+            _accum_owned(gain, gx.sum(axis=0))
         if bias.requires_grad:
-            _accum(bias, np.sum(g, axis=tuple(range(g.ndim - 1))))
+            _accum_owned(bias, g2.sum(axis=0))
         if x.requires_grad:
-            gh = g * gain.data
-            _accum(x, inv * (
-                gh
-                - gh.mean(axis=-1, keepdims=True)
-                - xhat * np.mean(gh * xhat, axis=-1, keepdims=True)
-            ))
+            # mean(gh) and mean(gh * xhat) with gh = g * gain
+            mean_gain = (gain.data / d)[:, None]
+            m1 = g2 @ mean_gain
+            m2 = gx @ mean_gain
+            np.multiply(xhat, m2, out=gx)
+            gh = g2 * gain.data
+            gh -= m1
+            gh -= gx
+            gh *= inv
+            _accum_owned(x, gh.reshape(x.shape))
 
     return _record(out, (x, gain, bias), backward)
 
@@ -684,6 +779,11 @@ def _default_checks() -> dict[str, OpCheck]:
             "layer_norm",
             layer_norm,
             lambda rng: ([t(rng, (3, 8)), t(rng, (8,)), t(rng, (8,))], {"eps": 1e-6}),
+        ),
+        OpCheck(
+            "layer_norm_3d",
+            layer_norm,
+            lambda rng: ([t(rng, (2, 3, 6)), t(rng, (6,)), t(rng, (6,))], {"eps": 1e-6}),
         ),
         OpCheck("softmax_rows", softmax_rows, lambda rng: ([t(rng, (3, 5))], {})),
         OpCheck("logsumexp_rows", logsumexp_rows, lambda rng: ([t(rng, (3, 5))], {})),

@@ -11,7 +11,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import generate_dataset, read_dataset
+from .data import generate_dataset
 from .encoders import PRESET_NAMES, preset
 from .errors import ConfigError, DataFormatError
 from .evaluation import (
@@ -32,6 +32,7 @@ from .trainer import (
     load_config,
     load_encoder,
     load_state,
+    read_dataset_for,
     run_pretraining,
     save_state,
     unmasked_tune,
@@ -103,7 +104,7 @@ def cmd_train(args) -> int:
         from .trainer import pretrain
 
         state = load_state(args.resume, config)
-        pretrain(state, read_dataset(config.train_data))
+        pretrain(state, read_dataset_for(config.train_data, state.encoder_config))
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_state(out / "final.ckpt", state)
@@ -116,7 +117,7 @@ def cmd_train(args) -> int:
 def cmd_tune_unmasked(args) -> int:
     config = load_config(args.config)
     state = load_state(args.ckpt, config)
-    dataset = read_dataset(config.train_data)
+    dataset = read_dataset_for(config.train_data, state.encoder_config)
     unmasked_tune(state, dataset)
     out = args.out or f"{args.ckpt}.tuned"
     save_state(out, state)
@@ -126,7 +127,7 @@ def cmd_tune_unmasked(args) -> int:
 
 def cmd_eval(args) -> int:
     params, enc_cfg = load_encoder(args.ckpt)
-    dataset = read_dataset(args.data)
+    dataset = read_dataset_for(args.data, enc_cfg)
     prompts = desk_prompts()
     if args.task == "zero-shot":
         value = zero_shot_accuracy(params, enc_cfg, dataset, prompts)

@@ -86,12 +86,14 @@ def config_hash(*parts) -> str:
 
 
 def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
-    """Normalized image embeddings, in row order, computed in chunks."""
-    if images.dtype == np.uint8:
-        images = images.astype(np.float32) / 255.0
+    """Normalized image embeddings, in row order, computed in chunks.
+    uint8 images are scaled to [0, 1] one chunk at a time."""
     out = []
     for lo in range(0, images.shape[0], EVAL_BATCH):
-        chunk = patchify(images[lo : lo + EVAL_BATCH], config.image.patch_size)
+        chunk = images[lo : lo + EVAL_BATCH]
+        if chunk.dtype == np.uint8:
+            chunk = chunk.astype(np.float32) / 255.0
+        chunk = patchify(chunk, config.image.patch_size)
         m = None
         if mask is not None:
             m = _slice_mask(mask, lo, lo + chunk.shape[0])
@@ -155,10 +157,16 @@ def recall_at_k(
     similarity (descending; ties broken by gallery index)."""
     if k > gallery_emb.shape[0]:
         raise ConfigError(f"k={k} exceeds gallery size {gallery_emb.shape[0]}")
-    sims = query_emb @ gallery_emb.T
-    order = np.argsort(-sims, axis=1, kind="stable")
-    gt = np.asarray(ground_truth).reshape(-1, 1)
-    return float(np.mean((order[:, :k] == gt).any(axis=1)))
+    n = query_emb.shape[0]
+    gt = np.broadcast_to(np.asarray(ground_truth).reshape(-1, 1), (n, 1))
+    hit = np.empty(n, dtype=bool)
+    # a block of queries at a time, so the similarity matrix and its
+    # argsort never exist whole
+    for lo in range(0, n, EVAL_BATCH):
+        sims = query_emb[lo : lo + EVAL_BATCH] @ gallery_emb.T
+        order = np.argsort(-sims, axis=1, kind="stable")
+        hit[lo : lo + EVAL_BATCH] = (order[:, :k] == gt[lo : lo + EVAL_BATCH]).any(axis=1)
+    return float(np.mean(hit))
 
 
 @dataclass

@@ -507,6 +507,17 @@ def load_encoder(path) -> tuple[dict[str, Tensor], EncoderConfig]:
     return params, enc_cfg
 
 
+def read_dataset_for(path, enc_cfg: EncoderConfig) -> Dataset:
+    """``read_dataset``, refusing images the image tower cannot take."""
+    dataset = read_dataset(path)
+    side = enc_cfg.image.image_size
+    if dataset.images.shape[1:] != (side, side, 3):
+        h, w, c = dataset.images.shape[1:]
+        raise DataFormatError(f"{path}: images are {h}x{w}x{c}, "
+                              f"but the image tower takes {side}x{side}x3")
+    return dataset
+
+
 # ---------------------------------------------------------------------------
 # run directories and the scaling harness
 
@@ -520,10 +531,11 @@ def run_pretraining(config: TrainConfig, out_dir) -> TrainState:
 
     if not config.train_data:
         raise ConfigError("config.train_data is required")
+    enc_cfg = preset(config.preset)
+    train_set = read_dataset_for(config.train_data, enc_cfg)
+    eval_set = read_dataset_for(config.eval_data, enc_cfg) if config.eval_data else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_set = read_dataset(config.train_data)
-    eval_set = read_dataset(config.eval_data) if config.eval_data else None
 
     state = init_train_state(config)
     save_config(config, out / "config.txt")

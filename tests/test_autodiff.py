@@ -1,10 +1,12 @@
 """Engine tests: op semantics, finite-difference gradient checks,
 accumulation, and determinism."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from flip import autodiff as ad
 from flip.autodiff import Graph, Tensor
@@ -141,6 +143,84 @@ class TestGradients:
             y = ad.scale(x, 2.0)
             with pytest.raises(DimensionError):
                 g.backward(y)
+
+
+class TestFloat32Kernels:
+    """The float32 GELU and LayerNorm kernels, which the float64 gradient
+    checks never run. Tolerances are set from float32's epsilon."""
+
+    EPS = float(np.finfo(np.float32).eps)
+
+    @staticmethod
+    def erf32(z):
+        z = np.array(z, dtype=np.float32)  # the kernel overwrites its input
+        out = np.empty_like(z)
+        ad._erf32(z, out, np.empty_like(z))
+        return out
+
+    @staticmethod
+    def run(build, arrays, weights, float64):
+        """Outputs and input gradients of ``sum(build(*inputs) * weights)``."""
+        mode = ad.verification_mode() if float64 else contextlib.nullcontext()
+        with mode:
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            with Graph() as g:
+                out = build(*inputs)
+                g.backward(ad.sum_all(ad.mul(out, Tensor(weights))))
+            return out.data, [t.grad for t in inputs]
+
+    def test_erf_within_8_ulp(self):
+        powers = 10.0 ** -np.arange(31)
+        z = np.concatenate([np.linspace(-9, 9, 400_001), powers, -powers]).astype(np.float32)
+        ref = erf(z.astype(np.float64)).astype(np.float32)
+        ulps = np.abs(self.erf32(z).astype(np.float64) - ref) / np.spacing(np.abs(ref))
+        assert ulps.max() <= 8
+
+    def test_erf_saturates_past_clamp(self):
+        z = np.array([4.0, 4.5, 9.0, 1e30, np.finfo(np.float32).max], dtype=np.float32)
+        assert np.array_equal(self.erf32(z), np.ones_like(z))
+        assert np.array_equal(self.erf32(-z), -np.ones_like(z))
+
+    def test_gelu_zero_and_non_finite_match_scipy_path(self):
+        x = [0.0, -0.0, np.nan, -np.inf, np.inf]
+        with np.errstate(invalid="ignore"):
+            fast = ad.gelu(Tensor(x)).data
+            with ad.verification_mode():
+                exact = ad.gelu(Tensor(x)).data
+        assert fast.dtype == np.float32 and exact.dtype == np.float64
+        assert fast[0] == 0.0 and fast[1] == 0.0
+        assert np.isnan(fast[2]) and np.isnan(fast[3]) and fast[4] == np.inf
+        assert np.array_equal(fast, exact.astype(np.float32), equal_nan=True)
+
+    def test_gelu_matches_float64_rule(self):
+        # 70001 elements: more than one block, and a ragged last one
+        rng = np.random.default_rng(5)
+        x = (rng.standard_normal(70_001) * 3).astype(np.float32)
+        w = rng.standard_normal(x.shape).astype(np.float32)
+        y32, (g32,) = self.run(ad.gelu, [x], w, float64=False)
+        y64, (g64,) = self.run(ad.gelu, [x.astype(np.float64)], w.astype(np.float64),
+                               float64=True)
+        assert y32.dtype == g32.dtype == np.float32
+        scale = np.maximum(1.0, np.abs(x))
+        assert np.all(np.abs(y32 - y64) <= 16 * self.EPS * scale)
+        assert np.all(np.abs(g32 - g64) <= 16 * self.EPS * np.abs(w) * scale)
+
+    # 1/96 is not exact in binary; 96 is the small preset's width
+    @pytest.mark.parametrize("d", [64, 96])
+    def test_layer_norm_matches_float64_rule(self, d):
+        rng = np.random.default_rng(d)
+        arrays = [rng.standard_normal((4, 33, d)) * 2 + 0.5, 1 + 0.1 * rng.standard_normal(d),
+                  rng.standard_normal(d)]
+        w = rng.standard_normal((4, 33, d))
+        out32, grads32 = self.run(ad.layer_norm, [a.astype(np.float32) for a in arrays],
+                                  w.astype(np.float32), float64=False)
+        out64, grads64 = self.run(ad.layer_norm, arrays, w, float64=True)
+        for got, want in zip([out32] + grads32, [out64] + grads64):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 16 * self.EPS * np.max(np.abs(want))
+        xhat = (out32 - arrays[2]) / arrays[1]
+        assert np.allclose(xhat.mean(axis=-1), 0.0, atol=1e-6)
+        assert np.allclose(xhat.var(axis=-1), 1.0, atol=1e-5)
 
 
 class TestGradientLifecycle:

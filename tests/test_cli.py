@@ -8,7 +8,7 @@ import pytest
 
 from flip.checkpoint import save_tensors
 from flip.cli import main
-from flip.data import MAGIC, generate_dataset
+from flip.data import MAGIC, Dataset, generate_dataset, write_dataset
 from flip.report import CURVE_HEADER, read_curve, to_csv, tradeoff_report, write_rows
 from flip.errors import ConfigError, DataFormatError
 from flip.trainer import TrainConfig, init_train_state, save_config, save_state
@@ -91,6 +91,41 @@ class TestExitCodes:
             assert main(["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data", str(data),
                          "--task", task]) == 2
             assert "no records" in capsys.readouterr().err
+
+    @staticmethod
+    def small_image_dataset(path):
+        """One batch of 16x16 images, half the tiny preset's size."""
+        ds = generate_dataset(64, 0, path)
+        write_dataset(path, Dataset(images=ds.images[:, :16, :16].copy(), captions=ds.captions))
+        return path
+
+    def test_eval_on_wrong_image_size_is_data_error(self, tmp_path, capsys):
+        cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
+        save_state(tmp_path / "init.ckpt", init_train_state(cfg))
+        data = self.small_image_dataset(tmp_path / "small.flipds")
+        for task in ("zero-shot", "retrieval", "linear-probe", "modes"):
+            assert main(["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data", str(data),
+                         "--task", task]) == 2
+            assert "16x16x3" in capsys.readouterr().err
+
+    def test_train_and_tune_on_wrong_image_size_are_data_errors(
+        self, workspace, tmp_path, capsys
+    ):
+        data = self.small_image_dataset(tmp_path / "small.flipds")
+        config = tmp_path / "config.txt"
+        config.write_text((workspace / "config.txt").read_text().replace(
+            str(workspace / "train.flipds"), str(data)))
+        ckpt = tmp_path / "init.ckpt"
+        save_state(ckpt, init_train_state(TrainConfig(batch_size=64, warmup_samples=0,
+                                                      total_samples=64)))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir),
+                     "--resume", str(ckpt)]) == 2
+        assert main(["tune-unmasked", "--ckpt", str(ckpt), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("images are 16x16x3") == 3
+        assert not out_dir.exists() and not (tmp_path / "init.ckpt.tuned").exists()
 
     def test_train_with_unknown_text_policy_writes_nothing(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.txt"

@@ -8,6 +8,7 @@ from flip.data import CLASS_NAMES, Dataset, make_record
 from flip.encoders import init_params, preset
 from flip.errors import ConfigError
 from flip.evaluation import (
+    EVAL_BATCH,
     EvalReport,
     ProbeConfig,
     PromptSet,
@@ -102,6 +103,19 @@ class TestZeroShot:
         assert zero_shot_classify(img, cls)[0] == 0
 
 
+class TestEmbedImages:
+    def test_uint8_chunks_match_scaled_float_input(self, tiny):
+        # more images than one chunk, so the per-chunk scaling crosses a
+        # chunk boundary
+        cfg, params = tiny
+        rng = np.random.default_rng(4)
+        size = cfg.image.image_size
+        images = rng.integers(0, 256, size=(EVAL_BATCH + 5, size, size, 3), dtype=np.uint8)
+        scaled = images.astype(np.float32) / 255.0
+        assert np.array_equal(embed_images(params, cfg, images),
+                              embed_images(params, cfg, scaled))
+
+
 class TestRecall:
     def test_gallery_equals_queries(self):
         rng = np.random.default_rng(0)
@@ -126,6 +140,18 @@ class TestRecall:
     def test_k_beyond_gallery(self):
         with pytest.raises(ConfigError):
             recall_at_k(np.ones((2, 3)), np.ones((4, 3)), [0, 1], 5)
+
+    def test_query_blocks_match_whole_ranking(self):
+        # more queries than one block, and rounded embeddings so that ties
+        # (broken by gallery index) cross the block boundaries
+        rng = np.random.default_rng(3)
+        q = np.round(rng.standard_normal((EVAL_BATCH * 2 + 37, 4)), 1)
+        g = np.round(rng.standard_normal((90, 4)), 1)
+        truth = rng.integers(0, 90, size=q.shape[0])
+        order = np.argsort(-(q @ g.T), axis=1, kind="stable")
+        for k in (1, 3, 20):
+            whole = float(np.mean((order[:, :k] == truth[:, None]).any(axis=1)))
+            assert recall_at_k(q, g, truth, k) == whole
 
 
 class TestLinearProbe:
