@@ -146,16 +146,6 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     return x.reshape(b, gh * gw, p * p * c)
 
 
-def unpatchify(patches: np.ndarray, patch_size: int, image_size: int) -> np.ndarray:
-    """Inverse of patchify."""
-    b, n, d = patches.shape
-    p = patch_size
-    g = image_size // p
-    c = d // (p * p)
-    x = patches.reshape(b, g, g, p, p, c).transpose(0, 1, 3, 2, 4, 5)
-    return x.reshape(b, image_size, image_size, c)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 

