@@ -469,18 +469,6 @@ def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (g - np.sum(g * s, axis=-1, keepdims=True)) * s
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    s = _softmax_forward(x.data)
-    out = Tensor(s)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, _softmax_backward(g, s))
-
-    return _record(out, (x,), backward)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: Tensor | None = None) -> Tensor:
     """Multi-head scaled dot-product attention on ``[b, t, d]`` inputs.
 
@@ -556,11 +544,9 @@ def take_diagonal(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def _check_indices(idx: np.ndarray, n: int, require_unique: bool):
+def _check_indices(idx: np.ndarray, n: int):
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"index out of range for {n} rows: [{idx.min()}, {idx.max()}]")
-    if require_unique and np.unique(idx).size != idx.size:
-        raise IndexError("duplicate indices")
 
 
 def take_rows(x: Tensor, idx) -> Tensor:
@@ -573,7 +559,7 @@ def take_rows(x: Tensor, idx) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError(f"take_rows: needs a 2-D tensor, got {x.shape}")
     idx = np.asarray(idx, dtype=np.int64)
-    _check_indices(idx, x.shape[0], require_unique=False)
+    _check_indices(idx, x.shape[0])
     out = Tensor(x.data[idx])
 
     def backward(g):
@@ -585,21 +571,48 @@ def take_rows(x: Tensor, idx) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
-    """Place row i of x at position idx[i] of an n-row zero matrix."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"scatter_rows: needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    if idx.size != x.shape[0]:
-        raise DimensionError(f"scatter_rows: {idx.size} indices for {x.shape[0]} rows")
-    _check_indices(idx, n, require_unique=True)
-    data = np.zeros((n, x.shape[1]), dtype=x.data.dtype)
-    data[idx] = x.data
-    out = Tensor(data)
+def _check_axis(axis: int, ndim: int, op: str):
+    if not 0 <= axis < ndim:
+        raise DimensionError(f"{op}: axis {axis} out of range for {ndim} dims")
+
+
+def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along ``axis``; every other axis must match."""
+    if not xs:
+        raise DimensionError("concat: needs at least one tensor")
+    _check_axis(axis, xs[0].data.ndim, "concat")
+    rest = [x.shape[:axis] + x.shape[axis + 1 :] for x in xs]
+    if any(r != rest[0] for r in rest):
+        raise DimensionError(
+            f"concat: shapes {[x.shape for x in xs]} differ off axis {axis}"
+        )
+    out = Tensor(np.concatenate([x.data for x in xs], axis=axis))
+    ends = np.cumsum([x.shape[axis] for x in xs])
+
+    def backward(g):
+        for x, part in zip(xs, np.split(g, ends[:-1], axis=axis)):
+            if x.requires_grad:
+                _accum(x, part)
+
+    return _record(out, xs, backward)
+
+
+def slice_axis(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
+    """Positions ``start:stop`` of ``axis``; the other positions get a
+    zero gradient."""
+    _check_axis(axis, x.data.ndim, "slice_axis")
+    if not 0 <= start <= stop <= x.shape[axis]:
+        raise DimensionError(
+            f"slice_axis: [{start}, {stop}) outside axis {axis} of {x.shape}"
+        )
+    window = (slice(None),) * axis + (slice(start, stop),)
+    out = Tensor(x.data[window])
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g[idx])
+            gx = np.zeros_like(x.data)
+            gx[window] = g
+            _accum_owned(x, gx)
 
     return _record(out, (x,), backward)
 
@@ -785,7 +798,6 @@ def _default_checks() -> dict[str, OpCheck]:
             layer_norm,
             lambda rng: ([t(rng, (2, 3, 6)), t(rng, (6,)), t(rng, (6,))], {"eps": 1e-6}),
         ),
-        OpCheck("softmax_rows", softmax_rows, lambda rng: ([t(rng, (3, 5))], {})),
         OpCheck("logsumexp_rows", logsumexp_rows, lambda rng: ([t(rng, (3, 5))], {})),
         OpCheck("take_diagonal", take_diagonal, lambda rng: ([t(rng, (4, 4))], {})),
         OpCheck(
@@ -796,10 +808,21 @@ def _default_checks() -> dict[str, OpCheck]:
         OpCheck("take_rows_2d_idx", take_rows,
                 lambda rng: ([t(rng, (6, 3))], {"idx": rng.integers(0, 6, size=(2, 4))})),
         OpCheck(
-            "scatter_rows",
-            scatter_rows,
-            lambda rng: ([t(rng, (4, 3))], {"idx": rng.permutation(9)[:4], "n": 9}),
+            "concat",
+            lambda *xs, axis: concat(xs, axis),
+            lambda rng: ([t(rng, (2, 1, 3)), t(rng, (2, 3, 3)), t(rng, (2, 2, 3))], {"axis": 1}),
         ),
+        OpCheck(
+            "concat_axis_0",
+            lambda *xs, axis: concat(xs, axis),
+            lambda rng: ([t(rng, (1, 4)), t(rng, (3, 4))], {"axis": 0}),
+        ),
+        OpCheck("slice_axis_head", slice_axis,
+                lambda rng: ([t(rng, (2, 5, 3))], {"start": 0, "stop": 2, "axis": 1})),
+        OpCheck("slice_axis_tail", slice_axis,
+                lambda rng: ([t(rng, (2, 5, 3))], {"start": 3, "stop": 5, "axis": 1})),
+        OpCheck("slice_axis_0", slice_axis,
+                lambda rng: ([t(rng, (5, 3))], {"start": 1, "stop": 4, "axis": 0})),
         OpCheck("reshape", reshape, lambda rng: ([t(rng, (3, 4))], {"shape": (2, 6)})),
         OpCheck(
             "transpose", transpose, lambda rng: ([t(rng, (2, 3, 4))], {"axes": (1, 0, 2)})

@@ -155,6 +155,8 @@ def recall_at_k(
 ) -> float:
     """Fraction of queries whose true match ranks in the top k by cosine
     similarity (descending; ties broken by gallery index)."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if k > gallery_emb.shape[0]:
         raise ConfigError(f"k={k} exceeds gallery size {gallery_emb.shape[0]}")
     n = query_emb.shape[0]

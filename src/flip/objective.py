@@ -9,7 +9,9 @@ text-to-image cross entropies with matched pairs on the diagonal.
 An optional reconstruction head (small 2-layer decoder at half the
 image width) predicts per-patch normalized pixels of the hidden patches
 from the encoded visible tokens, mean-squared-error on hidden patches
-only.
+only. Like the image encoder, it never restores raster order: it runs
+on the visible tokens followed by one mask token per hidden patch, each
+carrying its decoder position embedding by original patch index.
 """
 
 from __future__ import annotations
@@ -107,38 +109,33 @@ def reconstruction_loss(
 ) -> Tensor:
     """MSE on hidden patches, MAE-style.
 
-    Mask tokens fill the hidden positions, decoder positional embeddings
-    are re-added by original index, a small decoder runs over the full
-    sequence, and the loss compares hidden-patch predictions against
-    per-patch normalized pixels. With no hidden patches there is nothing
-    to reconstruct: returns 0 and warns.
+    The decoder runs on the sequence ``[visible..., hidden...]`` in mask
+    order: the embedded visible tokens, then one mask token per hidden
+    patch, each plus the decoder position embedding of its original
+    patch index. Attention has no positional term, so the blocks are
+    permutation-equivariant: running them on this order gives every
+    token the output it would get in raster order, and no unshuffle is
+    needed. Only the trailing hidden tokens go through the final norm
+    and the pixel projection, and the loss compares them with per-patch
+    normalized pixels gathered in the same ``mask.hidden`` order. With
+    no hidden patches there is nothing to reconstruct: returns 0 and
+    warns.
     """
-    b, v, d = encoded_visible.shape
+    b, v, _ = encoded_visible.shape
     n = mask.n_total
-    nh = n - v
-    if nh == 0:
+    if n == v:
         logger.warning("reconstruction requested with mask ratio 0; nothing is hidden")
         return Tensor(0.0)
-    dd = params["dec/embed/w"].shape[1]  # decoder width, fixed by init_params
-    heads = config.image.heads
-
-    offsets = np.arange(b)[:, None] * n
-    flat_vis = (offsets + mask.visible).ravel()
-    flat_hid = (offsets + mask.hidden).ravel()
-
-    emb = ad.linear(ad.reshape(encoded_visible, (b * v, d)), params["dec/embed/w"],
-                    params["dec/embed/b"])
-    placed = ad.scatter_rows(emb, flat_vis, b * n)
-    mask_tokens = ad.take_rows(params["dec/mask_token"], np.zeros(b * nh, dtype=np.int64))
-    placed = ad.add(placed, ad.scatter_rows(mask_tokens, flat_hid, b * n))
-    pos = ad.take_rows(params["dec/pos"], np.tile(np.arange(n), b))
-    x = ad.reshape(ad.add(placed, pos), (b, n, dd))
+    pos = params["dec/pos"]
+    visible = ad.add(ad.linear(encoded_visible, params["dec/embed/w"], params["dec/embed/b"]),
+                     ad.take_rows(pos, mask.visible))
+    hidden = ad.add(ad.take_rows(pos, mask.hidden), params["dec/mask_token"])
+    x = ad.concat([visible, hidden], axis=1)
     for i in range(DECODER_LAYERS):
-        x = transformer_block(x, params, f"dec/blk{i}", heads)
-    x = ad.layer_norm(x, params["dec/ln_f/g"], params["dec/ln_f/b"])
-    pred = ad.linear(ad.reshape(x, (b * n, dd)), params["dec/out/w"], params["dec/out/b"])
-    pred_hidden = ad.take_rows(pred, flat_hid)
+        x = transformer_block(x, params, f"dec/blk{i}", config.image.heads)
+    x = ad.layer_norm(ad.slice_axis(x, v, n, axis=1), params["dec/ln_f/g"], params["dec/ln_f/b"])
+    pred = ad.linear(x, params["dec/out/w"], params["dec/out/b"])
 
     targets = normalize_patches(target_patches)[np.arange(b)[:, None], mask.hidden]
-    diff = ad.sub(pred_hidden, Tensor(targets.reshape(b * nh, -1)))
+    diff = ad.sub(pred, Tensor(targets))
     return ad.mean_all(ad.mul(diff, diff))

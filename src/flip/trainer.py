@@ -98,6 +98,8 @@ class TrainConfig:
         for name in ("mask_ratio", "text_mask_ratio"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eval_every_samples < 0:
+            raise ConfigError(f"eval_every_samples must be >= 0, got {self.eval_every_samples}")
 
     @property
     def total_steps(self) -> int:

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import erf
 
 from flip import autodiff as ad
-from flip.autodiff import Graph, Tensor
+from flip.autodiff import Graph, OpCheck, Tensor
 from flip.errors import DimensionError
 
 
@@ -19,6 +19,18 @@ def backward_of(build):
         loss = build()
         g.backward(loss)
     return loss
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Unfused softmax over the last axis: the primitive reference for the
+    fused ``attention`` op, built from the same kernels."""
+    s = ad._softmax_forward(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            ad._accum(x, ad._softmax_backward(g, s))
+
+    return ad._record(Tensor(s), (x,), backward)
 
 
 class TestForwardValues:
@@ -51,11 +63,11 @@ class TestForwardValues:
             ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
     def test_softmax_symmetry(self):
-        assert np.allclose(ad.softmax_rows(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
+        assert np.allclose(softmax_rows(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
 
     def test_softmax_rows_sum_to_one(self):
         x = Tensor(np.random.default_rng(0).standard_normal((4, 7)))
-        assert np.allclose(ad.softmax_rows(x).data.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.allclose(softmax_rows(x).data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_gelu_fixed_point(self):
         assert ad.gelu(Tensor([0.0])).data[0] == 0.0
@@ -87,6 +99,30 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             ad.take_rows(x, [-1])
 
+    def test_concat_and_slice_round_trip(self):
+        parts = [Tensor(np.arange(2.0 * w * 3).reshape(2, w, 3)) for w in (1, 3, 2)]
+        whole = ad.concat(parts, axis=1)
+        assert np.array_equal(whole.data, np.concatenate([p.data for p in parts], axis=1))
+        for part, (lo, hi) in zip(parts, [(0, 1), (1, 4), (4, 6)]):
+            assert np.array_equal(ad.slice_axis(whole, lo, hi, axis=1).data, part.data)
+        assert np.array_equal(ad.concat(parts[:1], axis=0).data, parts[0].data)
+        assert ad.slice_axis(whole, 2, 2, axis=1).shape == (2, 0, 3)
+
+    def test_concat_and_slice_reject_bad_shapes(self):
+        a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))
+        with pytest.raises(DimensionError, match="concat"):
+            ad.concat([a, b], axis=1)
+        with pytest.raises(DimensionError, match="concat"):
+            ad.concat([a, Tensor(np.zeros((2, 3, 1)))], axis=1)
+        for axis in (-1, 2):
+            with pytest.raises(DimensionError, match=f"axis {axis} out of range"):
+                ad.concat([a, a], axis=axis)
+        with pytest.raises(DimensionError, match="concat"):
+            ad.concat([], axis=0)
+        for start, stop in ((-1, 2), (2, 1), (0, 4)):
+            with pytest.raises(DimensionError, match="slice_axis"):
+                ad.slice_axis(a, start, stop, axis=1)
+
     def test_logsumexp_matches_naive(self):
         x = np.random.default_rng(1).standard_normal((3, 5))
         out = ad.logsumexp_rows(Tensor(x, dtype=np.float64))
@@ -117,6 +153,12 @@ class TestGradients:
     @pytest.mark.parametrize("op", sorted(ad.REGISTERED_OPS))
     def test_registered_op_gradients(self, op):
         report = ad.check_gradients(op, tolerance=1e-4, n_seeds=3)
+        assert report.passed, str(report)
+
+    def test_softmax_rows_gradient(self):
+        check = OpCheck("softmax_rows", softmax_rows, lambda rng: ([Tensor(
+            rng.standard_normal((3, 5)), requires_grad=True)], {}))
+        report = ad.check_gradients(check, tolerance=1e-4, n_seeds=10)
         assert report.passed, str(report)
 
     def test_take_rows_grad_structure(self):
@@ -286,7 +328,7 @@ class TestFusedOps:
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         if bias is not None:
             scores = ad.add(scores, bias)
-        ctx = ad.matmul(ad.softmax_rows(scores), v)
+        ctx = ad.matmul(softmax_rows(scores), v)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * t, d))
         out = ad.add(ad.matmul(ctx, p["o/w"]), p["o/b"])
         return ad.reshape(out, (b, t, d))
@@ -358,7 +400,7 @@ class TestDeterminism:
         x = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
         with Graph() as g:
-            out = ad.mean_all(ad.gelu(ad.matmul(ad.softmax_rows(x), w)))
+            out = ad.mean_all(ad.gelu(ad.matmul(softmax_rows(x), w)))
             g.backward(out)
         return out.data.copy(), x.grad.copy(), w.grad.copy()
 

@@ -92,6 +92,16 @@ class TestExitCodes:
                          "--task", task]) == 2
             assert "no records" in capsys.readouterr().err
 
+    def test_retrieval_with_k_below_one_is_usage_error(self, workspace, tmp_path, capsys):
+        cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
+        save_state(tmp_path / "init.ckpt", init_train_state(cfg))
+        for k in ("0", "-1"):
+            assert main(["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data",
+                         str(workspace / "eval.flipds"), "--task", "retrieval",
+                         "--k", k]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and f"k must be >= 1, got {k}" in err
+
     @staticmethod
     def small_image_dataset(path):
         """One batch of 16x16 images, half the tiny preset's size."""

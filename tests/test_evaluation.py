@@ -140,6 +140,9 @@ class TestRecall:
     def test_k_beyond_gallery(self):
         with pytest.raises(ConfigError):
             recall_at_k(np.ones((2, 3)), np.ones((4, 3)), [0, 1], 5)
+        for k in (0, -1):
+            with pytest.raises(ConfigError, match="k must be >= 1"):
+                recall_at_k(np.ones((2, 3)), np.ones((4, 3)), [0, 1], k)
 
     def test_query_blocks_match_whole_ranking(self):
         # more queries than one block, and rounded embeddings so that ties

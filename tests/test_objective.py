@@ -7,10 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from flip.autodiff import Graph, OpCheck, Tensor, check_gradients
-from flip.encoders import LOGIT_SCALE_INIT, init_params, patchify, preset
+from flip import autodiff as ad
+from flip.autodiff import Graph, OpCheck, Tensor, check_gradients, verification_mode
+from flip.encoders import (
+    DECODER_LAYERS,
+    LOGIT_SCALE_INIT,
+    init_params,
+    patchify,
+    preset,
+    transformer_block,
+)
 from flip.errors import ConfigError
-from flip.masking import full_mask, sample_patch_mask
+from flip.masking import full_mask, patch_masks_for_samples, sample_patch_mask
 from flip.objective import (
     EmbeddingBatch,
     MAX_LOGIT_SCALE,
@@ -196,3 +204,49 @@ class TestReconstruction:
                 first = float(loss.data)
             last = float(loss.data)
         assert last < first
+
+
+class TestDecoderOrder:
+    """The decoder on ``[visible..., hidden...]`` against the raster-order
+    decoder: embeddings and mask tokens placed by patch index, the blocks
+    over all n positions, the hidden rows picked out afterwards."""
+
+    @staticmethod
+    def raster_order(params, encoded, mask, patches, cfg):
+        p = {name: t.data for name, t in params.items()}
+        rows = np.arange(encoded.shape[0])[:, None]
+        x = np.empty((encoded.shape[0], mask.n_total, p["dec/pos"].shape[1]))
+        x[rows, mask.visible] = encoded @ p["dec/embed/w"] + p["dec/embed/b"]
+        x[rows, mask.hidden] = p["dec/mask_token"]
+        x = Tensor(x + p["dec/pos"])
+        for i in range(DECODER_LAYERS):
+            x = transformer_block(x, params, f"dec/blk{i}", cfg.image.heads)
+        x = ad.layer_norm(x, params["dec/ln_f/g"], params["dec/ln_f/b"])
+        pred = ad.linear(x, params["dec/out/w"], params["dec/out/b"]).data[rows, mask.hidden]
+        return pred, np.mean((pred - normalize_patches(patches)[rows, mask.hidden]) ** 2)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.75])
+    def test_matches_raster_order_decoder(self, ratio, monkeypatch):
+        predictions = []
+        sub = ad.sub
+
+        def spy(a, b):  # the loss's only sub: hidden predictions minus targets
+            predictions.append(a.data)
+            return sub(a, b)
+
+        with verification_mode():
+            cfg = preset("tiny")
+            params = init_params(cfg, seed=3, with_decoder=True)
+            rng = np.random.default_rng(4)
+            patches = patchify(rng.random((6, 32, 32, 3)), 8)
+            mask = patch_masks_for_samples(16, ratio, 0, 0, np.arange(6))
+            encoded = rng.standard_normal((6, mask.n_visible, cfg.image.width))
+            with monkeypatch.context() as m:
+                m.setattr(ad, "sub", spy)
+                loss = reconstruction_loss(params, Tensor(encoded), mask, patches, cfg)
+            want_pred, want_loss = self.raster_order(params, encoded, mask, patches, cfg)
+        [pred] = predictions
+        assert pred.dtype == np.float64 and pred.shape == want_pred.shape
+        assert pred.shape[1] == mask.hidden.shape[1] == 16 - mask.n_visible > 0
+        assert np.max(np.abs(pred - want_pred)) <= 1e-9
+        assert abs(float(loss.data) - want_loss) <= 1e-9

@@ -114,6 +114,8 @@ class TestConfig:
             for bad in (-0.1, 1.0, 1.5):
                 with pytest.raises(ConfigError, match=field):
                     TrainConfig(**{field: bad})
+        with pytest.raises(ConfigError, match="eval_every_samples"):
+            TrainConfig(eval_every_samples=-64)
 
     def test_file_round_trip(self, tmp_path):
         cfg = desk_config(text_mask_policy="random", text_mask_ratio=0.25,
@@ -241,7 +243,7 @@ class TestTrainStep:
         "overrides, nodes",
         [
             (dict(mask_ratio=0.5), 103),
-            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 145),
+            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 141),
         ],
         ids=["m50", "m75-rec"],
     )
