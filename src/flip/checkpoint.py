@@ -84,7 +84,11 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         nbytes = 4 * n
         if off + nbytes > len(raw):
             raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(shape)
+        try:  # an empty tensor can still claim too many or too large dims
+            arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(shape)
+        except ValueError as e:
+            raise DataFormatError(f"{path}: numpy cannot hold tensor {name!r} "
+                                  f"of shape {shape}") from e
         tensors[name] = arr.copy()
         off += nbytes
     if off != len(raw):

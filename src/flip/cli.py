@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 from .data import generate_dataset
 from .encoders import PRESET_NAMES, preset
 from .errors import ConfigError, DataFormatError
 from .evaluation import (
     ProbeConfig,
+    check_recall_k,
     desk_prompts,
     embed_images,
     embed_texts,
@@ -99,17 +99,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    if args.resume:
-        from .trainer import pretrain
-
-        state = load_state(args.resume, config)
-        pretrain(state, read_dataset_for(config.train_data, state.encoder_config))
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_state(out / "final.ckpt", state)
-    else:
-        run_pretraining(config, args.out_dir)
+    run_pretraining(load_config(args.config), args.out_dir, resume=args.resume)
     print(f"run directory: {args.out_dir}")
     return EXIT_OK
 
@@ -135,6 +125,7 @@ def cmd_eval(args) -> int:
                             config=config_hash(args.ckpt, args.data))
         print(report.to_json())
     elif args.task == "retrieval":
+        check_recall_k(args.k, len(dataset))
         image_emb = embed_images(params, enc_cfg, dataset.images)
         text_emb = embed_texts(params, enc_cfg, dataset.captions)
         truth = list(range(len(dataset)))

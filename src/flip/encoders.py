@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.stats import truncnorm
@@ -154,66 +155,58 @@ def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return truncnorm.rvs(-2.0, 2.0, scale=INIT_STD, size=shape, random_state=rng)
 
 
-def _tower_block_params(params, prefix, width, rng):
-    d = width
-    hidden = MLP_RATIO * d
-    params[f"{prefix}/ln1/g"] = ad.parameter(np.ones(d))
-    params[f"{prefix}/ln1/b"] = ad.parameter(np.zeros(d))
-    for proj in ("q", "k", "v"):
-        params[f"{prefix}/{proj}/w"] = ad.parameter(_trunc_normal(rng, (d, d)))
-        params[f"{prefix}/{proj}/b"] = ad.parameter(np.zeros(d))
-    params[f"{prefix}/attn_out/w"] = ad.parameter(_trunc_normal(rng, (d, d)))
-    params[f"{prefix}/attn_out/b"] = ad.parameter(np.zeros(d))
-    params[f"{prefix}/ln2/g"] = ad.parameter(np.ones(d))
-    params[f"{prefix}/ln2/b"] = ad.parameter(np.zeros(d))
-    params[f"{prefix}/mlp1/w"] = ad.parameter(_trunc_normal(rng, (d, hidden)))
-    params[f"{prefix}/mlp1/b"] = ad.parameter(np.zeros(hidden))
-    params[f"{prefix}/mlp2/w"] = ad.parameter(_trunc_normal(rng, (hidden, d)))
-    params[f"{prefix}/mlp2/b"] = ad.parameter(np.zeros(d))
+def _block_shapes(prefix: str, d: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    h = MLP_RATIO * d
+    shapes = {"ln1/g": (d,), "ln1/b": (d,), "q/w": (d, d), "q/b": (d,), "k/w": (d, d),
+              "k/b": (d,), "v/w": (d, d), "v/b": (d,), "attn_out/w": (d, d), "attn_out/b": (d,),
+              "ln2/g": (d,), "ln2/b": (d,), "mlp1/w": (d, h), "mlp1/b": (h,),
+              "mlp2/w": (h, d), "mlp2/b": (d,)}
+    return ((f"{prefix}/{name}", shape) for name, shape in shapes.items())
+
+
+def param_shapes(config: EncoderConfig, with_decoder: bool = False
+                 ) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in the order ``init_params``
+    draws them. Lazy and allocation-free, so a checkpoint reader can walk
+    it for any stored geometry and stop at the first mismatch."""
+    img, txt = config.image, config.text
+    yield from {"img/patch_embed/w": (img.patch_dim, img.width),
+                "img/patch_embed/b": (img.width,), "img/pos": (img.num_patches, img.width)}.items()
+    for i in range(img.layers):
+        yield from _block_shapes(f"img/blk{i}", img.width)
+    yield from {"img/ln_f/g": (img.width,), "img/ln_f/b": (img.width,),
+                "txt/tok_emb": (txt.vocab_size, txt.width),
+                "txt/pos": (txt.seq_len, txt.width)}.items()
+    for i in range(txt.layers):
+        yield from _block_shapes(f"txt/blk{i}", txt.width)
+    yield from {"txt/ln_f/g": (txt.width,), "txt/ln_f/b": (txt.width,),
+                "proj/img/w": (img.width, config.embed_dim),
+                "proj/txt/w": (txt.width, config.embed_dim), "logit_scale": (1,)}.items()
+    if with_decoder:
+        dd = img.width // 2
+        if dd % img.heads != 0:
+            raise ConfigError(f"decoder width {dd} not divisible by heads {img.heads}")
+        yield from {"dec/embed/w": (img.width, dd), "dec/embed/b": (dd,),
+                    "dec/mask_token": (1, dd), "dec/pos": (img.num_patches, dd)}.items()
+        for i in range(DECODER_LAYERS):
+            yield from _block_shapes(f"dec/blk{i}", dd)
+        yield from {"dec/ln_f/g": (dd,), "dec/ln_f/b": (dd,),
+                    "dec/out/w": (dd, img.patch_dim), "dec/out/b": (img.patch_dim,)}.items()
 
 
 def init_params(
     config: EncoderConfig, seed: int = 0, with_decoder: bool = False,
 ) -> dict[str, Tensor]:
-    """Fresh parameter set: truncated-normal (0.02) projections, zero biases,
-    unit gains, learnable temperature at log(1/0.07)."""
+    """Fresh parameter set, drawn in ``param_shapes`` order: unit gains
+    (``/g``), zero biases (``/b``), learnable temperature at log(1/0.07),
+    and truncated-normal (0.02) weights, embeddings and mask token."""
     rng = per_sample_rng(seed, TAG_INIT, 0, 0)
-    img, txt = config.image, config.text
+    constants = {"g": 1.0, "b": 0.0, "logit_scale": LOGIT_SCALE_INIT}  # by last name part
     params: dict[str, Tensor] = {}
-
-    params["img/patch_embed/w"] = ad.parameter(_trunc_normal(rng, (img.patch_dim, img.width)))
-    params["img/patch_embed/b"] = ad.parameter(np.zeros(img.width))
-    params["img/pos"] = ad.parameter(_trunc_normal(rng, (img.num_patches, img.width)))
-    for i in range(img.layers):
-        _tower_block_params(params, f"img/blk{i}", img.width, rng)
-    params["img/ln_f/g"] = ad.parameter(np.ones(img.width))
-    params["img/ln_f/b"] = ad.parameter(np.zeros(img.width))
-
-    params["txt/tok_emb"] = ad.parameter(_trunc_normal(rng, (txt.vocab_size, txt.width)))
-    params["txt/pos"] = ad.parameter(_trunc_normal(rng, (txt.seq_len, txt.width)))
-    for i in range(txt.layers):
-        _tower_block_params(params, f"txt/blk{i}", txt.width, rng)
-    params["txt/ln_f/g"] = ad.parameter(np.ones(txt.width))
-    params["txt/ln_f/b"] = ad.parameter(np.zeros(txt.width))
-
-    params["proj/img/w"] = ad.parameter(_trunc_normal(rng, (img.width, config.embed_dim)))
-    params["proj/txt/w"] = ad.parameter(_trunc_normal(rng, (txt.width, config.embed_dim)))
-    params["logit_scale"] = ad.parameter(np.full(1, LOGIT_SCALE_INIT))
-
-    if with_decoder:
-        dd = img.width // 2
-        if dd % img.heads != 0:
-            raise ConfigError(f"decoder width {dd} not divisible by heads {img.heads}")
-        params["dec/embed/w"] = ad.parameter(_trunc_normal(rng, (img.width, dd)))
-        params["dec/embed/b"] = ad.parameter(np.zeros(dd))
-        params["dec/mask_token"] = ad.parameter(_trunc_normal(rng, (1, dd)))
-        params["dec/pos"] = ad.parameter(_trunc_normal(rng, (img.num_patches, dd)))
-        for i in range(DECODER_LAYERS):
-            _tower_block_params(params, f"dec/blk{i}", dd, rng)
-        params["dec/ln_f/g"] = ad.parameter(np.ones(dd))
-        params["dec/ln_f/b"] = ad.parameter(np.zeros(dd))
-        params["dec/out/w"] = ad.parameter(_trunc_normal(rng, (dd, img.patch_dim)))
-        params["dec/out/b"] = ad.parameter(np.zeros(img.patch_dim))
+    for name, shape in param_shapes(config, with_decoder):
+        value = constants.get(name.rsplit("/", 1)[-1])
+        params[name] = ad.parameter(
+            _trunc_normal(rng, shape) if value is None else np.full(shape, value))
     return params
 
 

@@ -150,15 +150,20 @@ def accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predicted == labels))
 
 
+def check_recall_k(k: int, gallery_size: int) -> None:
+    """Refuse a retrieval cutoff outside [1, gallery_size]."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if k > gallery_size:
+        raise ConfigError(f"k={k} exceeds gallery size {gallery_size}")
+
+
 def recall_at_k(
     query_emb: np.ndarray, gallery_emb: np.ndarray, ground_truth, k: int
 ) -> float:
     """Fraction of queries whose true match ranks in the top k by cosine
     similarity (descending; ties broken by gallery index)."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if k > gallery_emb.shape[0]:
-        raise ConfigError(f"k={k} exceeds gallery size {gallery_emb.shape[0]}")
+    check_recall_k(k, gallery_emb.shape[0])
     n = query_emb.shape[0]
     gt = np.broadcast_to(np.asarray(ground_truth).reshape(-1, 1), (n, 1))
     hit = np.empty(n, dtype=bool)

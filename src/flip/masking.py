@@ -9,8 +9,9 @@ Every sampler follows one rule: each position gets a uniform key in
 [0, 1), and a row's visible set is its v smallest-key positions. The
 ``prioritized`` text policy adds 1 to the keys of padding positions, so
 padding is hidden before any valid token. Complementary views cut one
-key order into k equal parts. The two entry points of each kind differ
-only in where the keys come from:
+key order into k equal parts; at ratio 0 every sampler returns
+``full_mask``'s indices. The two entry points of each kind differ only
+in where the keys come from:
 
 - ``sample_*`` and ``complementary_views`` take them from one shared
   generator, ``rng.random((B, n))``;
@@ -38,7 +39,7 @@ TAG_SHUFFLE = 4
 TAG_DATA = 5
 TAG_EVAL = 6
 
-POLICIES = ("none", "random", "prioritized")
+POLICIES = ("random", "prioritized")
 
 
 def per_sample_rng(global_seed: int, tag: int, epoch: int, index: int) -> np.random.Generator:
@@ -146,17 +147,21 @@ def patch_masks_for_samples(
         _counter_uniforms(global_seed, TAG_PATCH_MASK, epoch, sample_indices, n), ratio)
 
 
+def check_policy(policy: str) -> None:
+    """Refuse a text mask policy that is not in ``POLICIES``."""
+    if policy not in POLICIES:
+        raise ConfigError(f"text_mask_policy {policy!r} not in {POLICIES}")
+
+
 def _text_mask(batch: TokenizedBatch, ratio: float, policy: str, keys: np.ndarray) -> PatchMask:
+    check_policy(policy)
     if policy == "prioritized":  # padding sorts after every valid token, so it is hidden first
         keys += np.arange(batch.seq_len) >= batch.valid_lengths[:, None]
     return _smallest_keys(keys, ratio)
 
 
 def sample_text_mask(
-    batch: TokenizedBatch,
-    ratio: float,
-    policy: str,
-    rng: np.random.Generator | None = None,
+    batch: TokenizedBatch, ratio: float, policy: str, rng: np.random.Generator
 ) -> PatchMask:
     """Token mask over a tokenized batch.
 
@@ -166,26 +171,12 @@ def sample_text_mask(
     Masked tokens are removed from the sequence entirely, not replaced
     by a mask token.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown text mask policy {policy!r}, expected one of {POLICIES}")
-    if policy == "none":
-        return full_mask(batch.seq_len, batch.batch_size)
-    if rng is None:
-        raise ConfigError(f"policy {policy!r} needs an rng")
     return _text_mask(batch, ratio, policy, rng.random((batch.batch_size, batch.seq_len)))
 
 
-def text_masks_for_samples(
-    batch: TokenizedBatch,
-    ratio: float,
-    policy: str,
-    global_seed: int,
-    epoch: int,
-    sample_indices,
-) -> PatchMask:
+def text_masks_for_samples(batch: TokenizedBatch, ratio: float, policy: str,
+                           global_seed: int, epoch: int, sample_indices) -> PatchMask:
     """Counter-seeded variant of sample_text_mask (one draw per dataset index)."""
-    if policy not in ("random", "prioritized"):  # "none" draws nothing; unknown raises
-        return sample_text_mask(batch, ratio, policy)
     return _text_mask(batch, ratio, policy, _counter_uniforms(
         global_seed, TAG_TEXT_MASK, epoch, sample_indices, batch.seq_len))
 

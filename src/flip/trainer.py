@@ -5,7 +5,9 @@ tuning stage at mask ratio 0.
 
 All randomness is counter-based (seed, stage tag, epoch, sample index),
 so a fixed seed reproduces bit-identical state and a checkpoint resume
-continues the exact same trajectory.
+continues the exact same trajectory. ``run_pretraining`` drives every
+run, fresh or resumed. At mask ratio 0 the mask draw keeps every patch,
+and a step reconstructs only when some patch is hidden.
 
 The parameters and both Adam moments share one flat float32 arena (see
 ``TrainState``), so the optimizer runs a few long cache-blocked loops per
@@ -36,14 +38,15 @@ from .encoders import (
     encode_image,
     encode_text,
     init_params,
+    param_shapes,
     patchify,
     preset,
 )
 from .errors import ConfigError, DataFormatError, DimensionError
 from .flops import count_flops
 from .masking import (
-    POLICIES,
     TAG_SHUFFLE,
+    check_policy,
     patch_masks_for_samples,
     per_sample_rng,
     text_masks_for_samples,
@@ -93,8 +96,7 @@ class TrainConfig:
             raise ConfigError(
                 f"total_samples {self.total_samples} < warmup_samples {self.warmup_samples}"
             )
-        if self.text_mask_policy not in POLICIES:
-            raise ConfigError(f"text_mask_policy {self.text_mask_policy!r} not in {POLICIES}")
+        check_policy(self.text_mask_policy)
         for name in ("mask_ratio", "text_mask_ratio"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
@@ -352,19 +354,15 @@ def train_step(
     patches = patchify(images, enc_cfg.image.patch_size)
     tokens = tokenize_batch(captions, seq_len=enc_cfg.text.seq_len)
 
-    if mask_ratio > 0:
-        pmask = patch_masks_for_samples(
-            enc_cfg.image.num_patches, mask_ratio, cfg.seed, epoch, sample_indices
-        )
-    else:
-        pmask = None
+    pmask = patch_masks_for_samples(enc_cfg.image.num_patches, mask_ratio, cfg.seed, epoch,
+                                    sample_indices)
     tmask = text_masks_for_samples(
         tokens, cfg.text_mask_ratio, cfg.text_mask_policy, cfg.seed, epoch, sample_indices
     )
 
     for p in state.params.values():
         p.zero_grad()
-    reconstruct = cfg.rec_weight > 0 and pmask is not None  # nothing hidden at ratio 0
+    reconstruct = cfg.rec_weight > 0 and mask_ratio > 0  # nothing hidden at ratio 0
     with ad.Graph() as graph:
         img_out = encode_image(patches, pmask, state.params, enc_cfg, return_tokens=reconstruct)
         if reconstruct:
@@ -521,53 +519,63 @@ def save_state(path, state: TrainState) -> None:
     save_tensors(path, tensors)
 
 
-def _geometry_config(geom: np.ndarray, path) -> EncoderConfig:
-    """The encoder geometry stored by ``save_state``: 11 positive integers."""
-    if geom.shape != (11,) or not (np.isfinite(geom).all() and (geom > 0).all()
-                                   and (geom == np.round(geom)).all()):
-        raise DataFormatError(f"{path}: 'meta/geometry' is not 11 positive integers")
-    vals = [int(x) for x in geom]
-    try:
-        return EncoderConfig(
-            image=ImageTowerConfig(*vals[0:5]),
-            text=TextTowerConfig(*vals[5:10]),
-            embed_dim=vals[10],
-        )
-    except ConfigError as e:
-        raise DataFormatError(f"{path}: invalid stored geometry: {e}") from e
+def _meta(tensors: dict[str, np.ndarray], name: str, n: int, minimum: int, path) -> list[int]:
+    """The stored ``meta/<name>`` entry: n finite integers >= minimum."""
+    arr = tensors.get(f"meta/{name}")
+    if arr is None or arr.shape != (n,) or not (np.isfinite(arr).all() and (arr >= minimum).all()
+                                                and (arr == np.round(arr)).all()):
+        raise DataFormatError(f"{path}: 'meta/{name}' is absent or not {n} integers >= {minimum}")
+    return [int(x) for x in arr]
+
+
+def _entries(tensors: dict, prefix: str, shapes, path) -> dict[str, np.ndarray]:
+    """The ``prefix`` entries of a checkpoint, in the order of the (name, shape)
+    pairs ``shapes``. A missing, misshapen or unexpected entry is a data error;
+    the walk stops at the first, so it never goes past what the file holds."""
+    found = {key[len(prefix):]: arr for key, arr in tensors.items() if key.startswith(prefix)}
+    entries = {}
+    for name, shape in shapes:
+        arr = found.pop(name, None)
+        if arr is None or arr.shape != shape:
+            raise DataFormatError(f"{path}: checkpoint entry {prefix + name!r} is "
+                                  f"{'absent' if arr is None else arr.shape}, "
+                                  f"but the stored geometry needs {shape}")
+        entries[name] = arr
+    if found:
+        raise DataFormatError(f"{path}: unexpected checkpoint entry {prefix + min(found)!r}")
+    return entries
 
 
 def _load_checkpoint(path) -> tuple[dict[str, np.ndarray], EncoderConfig, dict[str, Tensor]]:
-    """All stored tensors, the geometry and the parameters of a checkpoint."""
+    """All stored tensors, the geometry and the parameters of a checkpoint.
+    The parameters must be exactly the stored geometry's ``param_shapes``,
+    with the decoder if the file holds one."""
     tensors = load_tensors(path)
-    if "meta/geometry" not in tensors:
-        raise DataFormatError(f"{path}: missing checkpoint entry 'meta/geometry'")
-    params = {
-        key[len("param/") :]: ad.parameter(arr)
-        for key, arr in tensors.items() if key.startswith("param/")
-    }
-    if not params:
-        raise DataFormatError(f"{path}: checkpoint holds no parameters")
-    return tensors, _geometry_config(tensors["meta/geometry"], path), params
+    vals = _meta(tensors, "geometry", 11, 1, path)
+    with_decoder = any(key.startswith("param/dec/") for key in tensors)
+    try:
+        enc_cfg = EncoderConfig(ImageTowerConfig(*vals[:5]), TextTowerConfig(*vals[5:10]),
+                                vals[10])
+        stored = _entries(tensors, "param/", param_shapes(enc_cfg, with_decoder), path)
+    except ConfigError as e:
+        raise DataFormatError(f"{path}: invalid stored geometry: {e}") from e
+    return tensors, enc_cfg, {name: ad.parameter(arr) for name, arr in stored.items()}
 
 
 def load_state(path, config: TrainConfig) -> TrainState:
     """Resume the training state stored at ``path`` under ``config``.
 
+    Counters that are not 10 non-negative integers, or moments whose
+    names or shapes are not the parameters', are a ``DataFormatError``.
     A checkpoint whose geometry is not ``config.preset``'s, whose seed is
     not ``config.seed``, or that has no decoder while ``config`` trains
     one is refused with ``ConfigError``.
     """
     tensors, enc_cfg, params = _load_checkpoint(path)
-    try:
-        counters = tensors["meta/counters"]
-        step, adam_t, samples_seen, aborted, seed = (
-            _join_u48(counters[2 * i], counters[2 * i + 1]) for i in range(5)
-        )
-        adam_m = {name: tensors[f"m/{name}"].astype(np.float32) for name in params}
-        adam_v = {name: tensors[f"v/{name}"].astype(np.float32) for name in params}
-    except KeyError as e:
-        raise DataFormatError(f"{path}: missing checkpoint entry {e}") from e
+    counters = _meta(tensors, "counters", 10, 0, path)
+    step, adam_t, samples_seen, aborted, seed = map(_join_u48, counters[0::2], counters[1::2])
+    shapes = [(name, p.data.shape) for name, p in params.items()]
+    adam_m, adam_v = (_entries(tensors, prefix, shapes, path) for prefix in ("m/", "v/"))
     if enc_cfg != preset(config.preset):
         raise ConfigError(f"{path}: stored geometry is not preset {config.preset!r}'s")
     if seed != config.seed:
@@ -608,42 +616,48 @@ def read_dataset_for(path, enc_cfg: EncoderConfig) -> Dataset:
 # run directories and the scaling harness
 
 
-def run_pretraining(config: TrainConfig, out_dir) -> TrainState:
-    """Full pre-training run writing a self-contained run directory:
-    config.txt, flops.json, curve.csv (periodic zero-shot accuracy),
-    timing.csv, and final.ckpt.
+def run_pretraining(config: TrainConfig, out_dir, resume=None) -> TrainState:
+    """Full pre-training run, fresh or continued from the checkpoint
+    ``resume``, writing a self-contained run directory: config.txt,
+    flops.json, curve.csv (zero-shot accuracy at every multiple of
+    ``eval_every_samples``, and at the end), timing.csv (seconds since the
+    call began, less evaluation) and final.ckpt. Nothing is written
+    before the checkpoint and the datasets have been read.
     """
     from .evaluation import desk_prompts, zero_shot_accuracy
 
+    t_start = time.monotonic()
     if not config.train_data:
         raise ConfigError("config.train_data is required")
-    enc_cfg = preset(config.preset)
-    train_set = read_dataset_for(config.train_data, enc_cfg)
-    eval_set = read_dataset_for(config.eval_data, enc_cfg) if config.eval_data else None
+    state = init_train_state(config) if resume is None else load_state(resume, config)
+    train_set = read_dataset_for(config.train_data, state.encoder_config)
+    eval_set = (read_dataset_for(config.eval_data, state.encoder_config)
+                if config.eval_data else None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    state = init_train_state(config)
     save_config(config, out / "config.txt")
     (out / "flops.json").write_text(
-        count_flops(state.encoder_config, config.mask_ratio, config.text_mask_ratio
-                    if config.text_mask_policy != "none" else 0.0).to_json()
+        count_flops(state.encoder_config, config.mask_ratio, config.text_mask_ratio).to_json()
     )
 
     prompts = desk_prompts()
     curve_rows: list[tuple[int, str, float]] = []
     timing_rows: list[tuple[int, float]] = []
-    t_start = time.monotonic()
+    eval_seconds = 0.0
 
     def eval_point():
+        nonlocal eval_seconds
         if eval_set is None:
             return
+        t_eval = time.monotonic()
+        timing_rows.append((state.samples_seen, t_eval - t_start - eval_seconds))
         value = zero_shot_accuracy(state.params, state.encoder_config, eval_set, prompts)
         curve_rows.append((state.samples_seen, "zero_shot_acc", value))
-        timing_rows.append((state.samples_seen, time.monotonic() - t_start))
         logger.info("samples %d: zero-shot %.4f", state.samples_seen, value)
+        eval_seconds += time.monotonic() - t_eval
 
-    next_eval = config.eval_every_samples or config.total_samples
+    every = config.eval_every_samples or config.total_samples
+    next_eval = (state.samples_seen // every + 1) * every
 
     def on_step(st, bundle):
         nonlocal next_eval
@@ -651,7 +665,7 @@ def run_pretraining(config: TrainConfig, out_dir) -> TrainState:
             logger.info("step %d loss %.4f", st.step, bundle.total)
         if st.samples_seen >= next_eval:
             eval_point()
-            next_eval += config.eval_every_samples or config.total_samples
+            next_eval += every
 
     pretrain(state, train_set, on_step=on_step)
     if not curve_rows or curve_rows[-1][0] != state.samples_seen:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from flip.checkpoint import save_tensors
+from flip.checkpoint import load_tensors, save_tensors
 from flip.cli import main
 from flip.data import MAGIC, Dataset, generate_dataset, write_dataset
 from flip.report import CURVE_HEADER, read_curve, to_csv, tradeoff_report, write_rows
@@ -92,7 +92,13 @@ class TestExitCodes:
                          "--task", task]) == 2
             assert "no records" in capsys.readouterr().err
 
-    def test_retrieval_with_k_below_one_is_usage_error(self, workspace, tmp_path, capsys):
+    def test_retrieval_with_k_below_one_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def embed_images(*args, **kwargs):
+            raise AssertionError("embedded before --k was checked")
+
+        monkeypatch.setattr("flip.cli.embed_images", embed_images)
         cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
         save_state(tmp_path / "init.ckpt", init_train_state(cfg))
         for k in ("0", "-1"):
@@ -166,6 +172,59 @@ class TestExitCodes:
         out = tmp_path / "g.flipds"
         assert main(["gen-data", "--n", "16", "--seed", "3", "--out", str(out)]) == 0
         assert out.exists()
+
+
+class TestCheckpointRefusals:
+    """Checkpoint contents that do not fit the stored geometry are data
+    errors (exit 2), and a refused resume writes nothing."""
+
+    @staticmethod
+    def edited_checkpoint(path, edit):
+        save_state(path, init_train_state(TrainConfig(batch_size=64, warmup_samples=0,
+                                                      total_samples=64)))
+        tensors = load_tensors(path)
+        edit(tensors)
+        save_tensors(path, tensors)
+        return path
+
+    @staticmethod
+    def resume(workspace, ckpt, out_dir):
+        return main(["train", "--config", str(workspace / "config.txt"),
+                     "--out-dir", str(out_dir), "--resume", str(ckpt)])
+
+    @pytest.mark.parametrize("counters", [
+        np.zeros(3), np.full(10, np.nan), np.full(10, -1.0), np.full(10, 0.5),
+    ], ids=["three-entries", "nan", "negative", "fraction"])
+    def test_malformed_counters(self, workspace, tmp_path, capsys, counters):
+        ckpt = self.edited_checkpoint(tmp_path / "c.ckpt",
+                                      lambda t: t.update({"meta/counters": counters}))
+        assert self.resume(workspace, ckpt, tmp_path / "run") == 2
+        assert "'meta/counters'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("prefix", ["m/", "v/"])
+    def test_moment_of_wrong_shape(self, workspace, tmp_path, capsys, prefix):
+        ckpt = self.edited_checkpoint(
+            tmp_path / "c.ckpt", lambda t: t.update({f"{prefix}img/pos": np.zeros((3, 64))}))
+        assert self.resume(workspace, ckpt, tmp_path / "run") == 2
+        assert f"'{prefix}img/pos' is (3, 64)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("param/img/blk0/q/w"), "'param/img/blk0/q/w' is absent"),
+        (lambda t: t.update({"param/img/blk9/q/w": np.zeros((64, 64))}),
+         "unexpected checkpoint entry 'param/img/blk9/q/w'"),
+        (lambda t: t.update({"param/img/pos": np.zeros((17, 64))}),
+         "'param/img/pos' is (17, 64), but the stored geometry needs (16, 64)"),
+    ], ids=["missing", "extra", "wrong-shape"])
+    def test_parameters_not_the_stored_geometrys(self, workspace, tmp_path, capsys, edit,
+                                                  message):
+        ckpt = self.edited_checkpoint(tmp_path / "c.ckpt", edit)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
+                     "--task", "zero-shot"]) == 2
+        assert self.resume(workspace, ckpt, tmp_path / "run") == 2
+        assert capsys.readouterr().err.count(message) == 2
+        assert not (tmp_path / "run").exists()
 
 
 class TestFlopsCommand:

@@ -130,10 +130,10 @@ class TestEncodeImage:
 
 
 class TestEncodeText:
-    def test_policy_none_equals_dense(self, tiny):
+    def test_ratio_zero_mask_equals_dense(self, tiny):
         cfg, params = tiny
         batch = tokenize_batch(["a red circle", "a big blue square"])
-        m = sample_text_mask(batch, 0.0, "none")
+        m = sample_text_mask(batch, 0.0, "random", np.random.default_rng(0))
         a = encode_text(batch, None, params, cfg)
         b = encode_text(batch, m, params, cfg)
         assert a.data.tobytes() == b.data.tobytes()

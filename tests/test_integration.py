@@ -7,6 +7,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ import flip
 from flip.cli import main
 from flip.data import generate_dataset, read_dataset
 from flip.encoders import init_params, preset
+from flip import evaluation, trainer
 from flip.evaluation import embed_images
+from flip.report import read_curve
 from flip.trainer import (
     TrainConfig,
     load_state,
@@ -50,6 +53,27 @@ class TestRunDirectory:
         samples = [int(l.split(",")[0]) for l in lines[1:]]
         assert samples == sorted(samples) and len(samples) >= 2
         assert all(s1 < s2 for s1, s2 in zip(samples, samples[1:]))
+
+    def test_timing_leaves_out_evaluation(self, micro, tmp_path, monkeypatch):
+        # the clock moves 1 s per training step and 100 s per evaluation
+        clock = [0.0]
+        step = trainer.train_step
+
+        def timed_step(*args, **kwargs):
+            clock[0] += 1.0
+            return step(*args, **kwargs)
+
+        def timed_eval(*args, **kwargs):
+            clock[0] += 100.0
+            return 0.5
+
+        monkeypatch.setattr(trainer, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(trainer, "train_step", timed_step)
+        monkeypatch.setattr(evaluation, "zero_shot_accuracy", timed_eval)
+        root, cfg = micro
+        run_pretraining(cfg, tmp_path / "run")
+        timing = (tmp_path / "run" / "timing.csv").read_text().splitlines()
+        assert timing == ["samples,seconds", "64,1.0", "128,2.0", "192,3.0"]
 
 
 class TestScalingHarness:
@@ -93,6 +117,13 @@ class TestCliResumeAndTune:
                      str(first / "final.ckpt")]) == 0
         final = load_state(second / "final.ckpt", resumed_cfg)
         assert final.step == 5
+        # a resumed run writes a full run directory, evaluated on the fresh schedule
+        for name in ("config.txt", "flops.json", "curve.csv", "timing.csv", "final.ckpt"):
+            assert (second / name).exists(), name
+        assert [row[0] for row in read_curve(second / "curve.csv")] == [256, 320]
+        capsys.readouterr()
+        assert main(["report", "--runs", str(second)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_tune_unmasked_cli(self, micro, tmp_path, capsys):
         root, cfg = micro

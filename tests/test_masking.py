@@ -91,10 +91,6 @@ class TestComplementaryViews:
 
 
 class TestTextMask:
-    def test_policy_none_all_visible(self):
-        m = masking.sample_text_mask(make_batch(10), 0.5, "none")
-        assert m.n_visible == 32
-
     def test_prioritized_rule_exact(self):
         # 20 valid + 12 pads, mask 16: all 12 pads + 4 valid masked
         batch = make_batch(20)
@@ -139,8 +135,11 @@ class TestTextMask:
         assert agg_p > agg_r
 
     def test_unknown_policy(self):
-        with pytest.raises(ConfigError):
-            masking.sample_text_mask(make_batch(5), 0.5, "sometimes")
+        for policy in ("sometimes", "none"):  # no masking is ratio 0, not a policy
+            with pytest.raises(ConfigError, match="text_mask_policy"):
+                masking.sample_text_mask(make_batch(5), 0.5, policy, np.random.default_rng(0))
+            with pytest.raises(ConfigError, match="text_mask_policy"):
+                masking.text_masks_for_samples(make_batch(5), 0.5, policy, 0, 0, [0])
 
     def test_invariants(self):
         batch = make_batch(20, batch_size=50)
@@ -245,7 +244,25 @@ class TestCounterSeededRows:
                 masking.patch_masks_for_samples(16, 0.75, seed, epoch, idx)
                 masking.text_masks_for_samples(batch, 0.5, "prioritized", seed, epoch, idx)
 
-    def test_policy_none_is_full(self):
-        m = masking.text_masks_for_samples(make_batch(5, batch_size=2), 0.5, "none",
-                                           self.SEED, self.EPOCH, [0, 1])
-        assert m.ratio == 0.0 and m.n_visible == 32 and m.hidden.shape == (2, 0)
+
+class TestRatioZero:
+    """Ratio 0 is an ordinary ratio: every sampler keeps all positions."""
+
+    @staticmethod
+    def assert_full(m, n, batch_size):
+        full = masking.full_mask(n, batch_size)
+        assert m.ratio == full.ratio == 0.0 and m.n_total == n
+        assert np.array_equal(m.visible, full.visible) and m.visible.dtype == full.visible.dtype
+        assert m.hidden.shape == full.hidden.shape == (batch_size, 0)
+
+    @pytest.mark.parametrize("policy", masking.POLICIES)
+    def test_text_samplers_return_full_mask(self, policy):
+        batch = make_batch(5, batch_size=3)
+        self.assert_full(masking.sample_text_mask(batch, 0.0, policy, np.random.default_rng(0)),
+                         32, 3)
+        self.assert_full(masking.text_masks_for_samples(batch, 0.0, policy, 7, 2, [4, 0, 9]),
+                         32, 3)
+
+    def test_patch_samplers_return_full_mask(self):
+        self.assert_full(masking.sample_patch_mask(16, 0.0, np.random.default_rng(0), 3), 16, 3)
+        self.assert_full(masking.patch_masks_for_samples(16, 0.0, 7, 2, [4, 0, 9]), 16, 3)

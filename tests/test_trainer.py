@@ -304,7 +304,8 @@ class TestDeterminismAndCheckpoints:
         [4, 64, 4, 8, 32, 2, 64, 4, 32, 100, 0.5],  # not an integer
         [4, 64, 4, 8, 32, 2, 64, -4, 32, 100, 64],  # not positive
         [4, 64, 5, 8, 32, 2, 64, 4, 32, 100, 64],  # 5 heads do not divide width 64
-    ], ids=["short", "fraction", "negative", "heads"])
+        [2**24, 64, 4, 8, 32, 2**24, 64, 4, 32, 100, 64],  # far more layers than stored
+    ], ids=["short", "fraction", "negative", "heads", "huge"])
     def test_checkpoint_rejects_bad_geometry(self, tmp_path, geometry):
         path = tmp_path / "geom.ckpt"
         save_tensors(path, {"meta/geometry": np.array(geometry, dtype=np.float32),
@@ -323,6 +324,19 @@ class TestDeterminismAndCheckpoints:
         path = tmp_path / "x.ckpt"
         write_wrapping_checkpoint(path)
         with pytest.raises(DataFormatError, match="truncated"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("dims", [
+        (0,) * 65,  # more dimensions than numpy allows
+        (0, 2**32 - 1, 2**32 - 1),  # a size that overflows, though nothing is stored
+    ], ids=["65-dims", "huge-empty"])
+    def test_checkpoint_rejects_shapes_numpy_cannot_hold(self, tmp_path, dims):
+        path = tmp_path / "x.ckpt"
+        save_tensors(path, {"param/w": np.zeros(0)})
+        path.write_bytes(path.read_bytes().replace(
+            b"param/w\x01" + struct.pack("<I", 0),
+            b"param/w" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)))
+        with pytest.raises(DataFormatError, match="numpy cannot hold"):
             load_tensors(path)
 
     def test_geometry_restored_without_config(self, tiny_dataset, tmp_path):
@@ -382,8 +396,9 @@ class TestParameterArena:
         # at most 7 valid ones, so prioritized masking hides only padding
         assert tokenize_batch(tiny_dataset.captions, seq_len=32).valid_lengths.max() <= 16
         digests = []
-        for policy in ("prioritized", "none"):
-            state = init_train_state(desk_config(text_mask_policy=policy, text_mask_ratio=0.5))
+        for ratio in (0.5, 0.0):
+            state = init_train_state(desk_config(text_mask_policy="prioritized",
+                                                 text_mask_ratio=ratio))
             pretrain(state, tiny_dataset, n_steps=2)
             digests.append(hashlib.sha256(b"".join(
                 p.data.tobytes() for p in state.params.values())).hexdigest())
