@@ -41,6 +41,8 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
 _default_dtype = np.float32
+LAYER_NORM_EPS = 1e-6
+L2_NORM_EPS = 1e-8  # keeps a zero row finite
 
 
 @contextlib.contextmanager
@@ -65,8 +67,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _default_dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=_default_dtype)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -406,7 +408,7 @@ def gelu(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero mean / unit variance over the last axis, then affine.
 
     Every row mean is one BLAS matrix-vector product against a constant
@@ -424,7 +426,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     xhat = x2 - x2 @ mean_col
     y = np.square(xhat)
     inv = y @ mean_col
-    inv += eps
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -674,12 +676,12 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-8) -> Tensor:
+def l2_normalize_rows(x: Tensor) -> Tensor:
     """Per-row L2 normalization with an eps guard for zero rows."""
     if x.data.ndim != 2:
         raise DimensionError(f"l2_normalize_rows: needs a 2-D tensor, got {x.shape}")
     norm = np.linalg.norm(x.data, axis=1, keepdims=True)
-    denom = norm + eps
+    denom = norm + L2_NORM_EPS
     out = Tensor(x.data / denom)
 
     def backward(g):
@@ -791,12 +793,12 @@ def _default_checks() -> dict[str, OpCheck]:
         OpCheck(
             "layer_norm",
             layer_norm,
-            lambda rng: ([t(rng, (3, 8)), t(rng, (8,)), t(rng, (8,))], {"eps": 1e-6}),
+            lambda rng: ([t(rng, (3, 8)), t(rng, (8,)), t(rng, (8,))], {}),
         ),
         OpCheck(
             "layer_norm_3d",
             layer_norm,
-            lambda rng: ([t(rng, (2, 3, 6)), t(rng, (6,)), t(rng, (6,))], {"eps": 1e-6}),
+            lambda rng: ([t(rng, (2, 3, 6)), t(rng, (6,)), t(rng, (6,))], {}),
         ),
         OpCheck("logsumexp_rows", logsumexp_rows, lambda rng: ([t(rng, (3, 5))], {})),
         OpCheck("take_diagonal", take_diagonal, lambda rng: ([t(rng, (4, 4))], {})),
@@ -832,11 +834,7 @@ def _default_checks() -> dict[str, OpCheck]:
         ),
         OpCheck("mean_all", mean_all, lambda rng: ([t(rng, (3, 4))], {})),
         OpCheck("sum_all", sum_all, lambda rng: ([t(rng, (3, 4))], {})),
-        OpCheck(
-            "l2_normalize_rows",
-            l2_normalize_rows,
-            lambda rng: ([t(rng, (4, 5))], {"eps": 1e-8}),
-        ),
+        OpCheck("l2_normalize_rows", l2_normalize_rows, lambda rng: ([t(rng, (4, 5))], {})),
     ]
     return {c.name: c for c in checks}
 

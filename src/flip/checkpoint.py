@@ -9,11 +9,15 @@ Training state rides on top as named tensors: parameters under
 encoder geometry packed into ``meta/`` entries. Counters are stored as
 24-bit lo/hi float pairs so values survive the float32 container
 exactly.
+
+Checkpoints and datasets are written through ``atomic_write``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -36,9 +40,24 @@ def _join_u48(lo: float, hi: float) -> int:
     return int(round(lo)) + _U24 * int(round(hi))
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A temp file beside ``path`` that replaces it when the block ends,
+    or is removed if the block raises. Not fsynced: this survives a
+    crashed process, not a power loss."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:  # gone already once the replace has run
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     """Write named arrays in checkpoint format (values cast to float32)."""
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(tensors)))
         for name, arr in tensors.items():

@@ -11,6 +11,8 @@ bytes.
 File layout (little-endian): magic "FLIPDS01", count u32, height u16,
 width u16, channels u8, then per record the raw u8 RGB image in
 row-major order, a caption byte length u16, and the UTF-8 caption.
+``write_dataset`` checks every caption before it writes through
+``checkpoint.atomic_write``, so a refused write leaves the old file.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, DataFormatError
 from .masking import TAG_DATA, per_sample_rng
 
@@ -140,14 +143,15 @@ def write_dataset(path, ds: Dataset) -> None:
         raise DataFormatError(f"{n} images but {len(ds.captions)} captions")
     if n == 0:
         raise DataFormatError("a dataset needs at least one record")
-    with open(path, "wb") as f:
+    raws = [caption.encode("utf-8") for caption in ds.captions]
+    for i, raw in enumerate(raws):
+        if not 0 < len(raw) <= 0xFFFF:
+            raise DataFormatError(f"caption {i} is {len(raw)} bytes; it must be 1 to 65535")
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<IHHB", n, h, w, c))
-        for img, caption in zip(ds.images, ds.captions):
-            if not caption:
-                raise DataFormatError("captions must be nonempty")
+        for img, raw in zip(ds.images, raws):
             f.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
-            raw = caption.encode("utf-8")
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
 

@@ -134,7 +134,8 @@ PRESET_NAMES = ("tiny", "small", "B-like", "L-like", "H-like")
 
 
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
-    """[B,H,W,C] images to [B, N, P*P*C] rows in raster order of the grid."""
+    """[B,H,W,C] images to [B, N, P*P*C] rows in raster order of the grid.
+    uint8 pixels become float32 ``x / 255``; float input passes through."""
     if images.ndim != 4:
         raise ConfigError(f"expected [B,H,W,C] images, got shape {images.shape}")
     b, h, w, c = images.shape
@@ -144,7 +145,11 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     gh, gw = h // p, w // p
     x = images.reshape(b, gh, p, gw, p, c)
     x = x.transpose(0, 1, 3, 2, 4, 5)  # [B, gh, gw, p, p, c]
-    return x.reshape(b, gh * gw, p * p * c)
+    x = x.reshape(b, gh * gw, p * p * c)
+    if x.dtype == np.uint8:
+        x = x.astype(np.float32)
+        x /= 255.0
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +247,10 @@ def encode_image(
     mask: PatchMask | None,
     params: dict,
     config: EncoderConfig,
-    return_tokens: bool = False,
-):
-    """Pooled image features from the visible patches only.
+) -> tuple[Tensor, Tensor]:
+    """``(pooled, tokens)``: [B, width] features pooled over the visible
+    patches, and the [B, v, width] final-norm tokens they were pooled
+    from, which the reconstruction decoder takes.
 
     The mask selects raw patches before the patch embedding, positional
     embeddings are looked up by original patch index, and the tower runs
@@ -268,10 +274,7 @@ def encode_image(
     for i in range(img.layers):
         x = transformer_block(x, params, f"img/blk{i}", img.heads)
     x = ad.layer_norm(x, params["img/ln_f/g"], params["img/ln_f/b"])
-    pooled = ad.mean_over_axis(x, axis=1)
-    if return_tokens:
-        return pooled, x
-    return pooled
+    return ad.mean_over_axis(x, axis=1), x
 
 
 def encode_text(

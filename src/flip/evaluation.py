@@ -86,18 +86,15 @@ def config_hash(*parts) -> str:
 
 
 def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
-    """Normalized image embeddings, in row order, computed in chunks.
-    uint8 images are scaled to [0, 1] one chunk at a time."""
+    """Normalized image embeddings, in row order, computed in chunks, so
+    ``patchify`` scales uint8 images to [0, 1] one chunk at a time."""
     out = []
     for lo in range(0, images.shape[0], EVAL_BATCH):
-        chunk = images[lo : lo + EVAL_BATCH]
-        if chunk.dtype == np.uint8:
-            chunk = chunk.astype(np.float32) / 255.0
-        chunk = patchify(chunk, config.image.patch_size)
+        chunk = patchify(images[lo : lo + EVAL_BATCH], config.image.patch_size)
         m = None
         if mask is not None:
             m = _slice_mask(mask, lo, lo + chunk.shape[0])
-        pooled = encode_image(chunk, m, params, config)
+        pooled, _ = encode_image(chunk, m, params, config)
         emb = project_and_normalize(pooled, params["proj/img/w"])
         out.append(emb.data)
     return np.concatenate(out, axis=0)

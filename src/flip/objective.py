@@ -4,7 +4,9 @@ Tower outputs are linearly projected to a shared embedding dimension and
 L2-normalized. The contrastive loss is symmetric InfoNCE over the B x B
 cosine-similarity matrix scaled by a learnable temperature (stored in
 log space, exp clamped to 100): the mean of image-to-text and
-text-to-image cross entropies with matched pairs on the diagonal.
+text-to-image cross entropies with matched pairs on the diagonal. It
+takes plain tensors, the three values CLIP's pseudocode passes: the
+[B, D] image and text embeddings and the [1] log-space scale.
 
 An optional reconstruction head (small 2-layer decoder at half the
 image width) predicts per-patch normalized pixels of the hidden patches
@@ -48,46 +50,34 @@ LOG_MAX_LOGIT_SCALE = _float32_floor(math.log(MAX_LOGIT_SCALE))
 
 
 @dataclass
-class EmbeddingBatch:
-    """L2-normalized image/text embeddings plus the learnable logit scale."""
-
-    image_emb: Tensor  # [B, embed_dim]
-    text_emb: Tensor  # [B, embed_dim]
-    logit_scale: Tensor  # [1], log space
-
-    @property
-    def batch_size(self) -> int:
-        return self.image_emb.shape[0]
-
-
-@dataclass
 class LossBundle:
     contrastive: float
-    reconstruction: Optional[float]
+    reconstruction: Optional[float]  # None when the step did not reconstruct
     total: float
-    rec_weight: float = 0.0
 
 
 def project_and_normalize(feat: Tensor, proj: Tensor) -> Tensor:
     """Linear map into the joint space, then per-row L2 normalization."""
-    return ad.l2_normalize_rows(ad.matmul(feat, proj), eps=1e-8)
+    return ad.l2_normalize_rows(ad.matmul(feat, proj))
 
 
-def similarity_logits(e: EmbeddingBatch) -> Tensor:
-    """logits[i][j] = exp(clamped logit_scale) * <image_i, text_j>."""
-    s = ad.exp(ad.clamp_max(e.logit_scale, LOG_MAX_LOGIT_SCALE))
-    return ad.scale_by(ad.matmul(e.image_emb, ad.transpose(e.text_emb)), s)
+def similarity_logits(image_emb: Tensor, text_emb: Tensor, logit_scale: Tensor) -> Tensor:
+    """logits[i][j] = exp(clamped logit_scale) * <image_i, text_j>, from
+    [B, D] normalized embeddings and the [1] log-space scale."""
+    s = ad.exp(ad.clamp_max(logit_scale, LOG_MAX_LOGIT_SCALE))
+    return ad.scale_by(ad.matmul(image_emb, ad.transpose(text_emb)), s)
 
 
 def _diagonal_cross_entropy(logits: Tensor) -> Tensor:
     return ad.mean_all(ad.sub(ad.logsumexp_rows(logits), ad.take_diagonal(logits)))
 
 
-def info_nce(e: EmbeddingBatch) -> Tensor:
+def info_nce(image_emb: Tensor, text_emb: Tensor, logit_scale: Tensor) -> Tensor:
     """Symmetric InfoNCE with diagonal targets; other rows are negatives."""
-    if e.batch_size < 2:
-        raise ConfigError(f"contrastive loss needs batch >= 2, got {e.batch_size}")
-    logits = similarity_logits(e)
+    b = image_emb.shape[0]
+    if b < 2:
+        raise ConfigError(f"contrastive loss needs batch >= 2, got {b}")
+    logits = similarity_logits(image_emb, text_emb, logit_scale)
     i2t = _diagonal_cross_entropy(logits)
     t2i = _diagonal_cross_entropy(ad.transpose(logits))
     return ad.scale(ad.add(i2t, t2i), 0.5)

@@ -9,6 +9,9 @@ continues the exact same trajectory. ``run_pretraining`` drives every
 run, fresh or resumed. At mask ratio 0 the mask draw keeps every patch,
 and a step reconstructs only when some patch is hidden.
 
+``train_step`` takes a ready batch and its lr, epoch, sample indices and
+mask ratio from ``run_phase``, which tokenizes the captions once per call.
+
 The parameters and both Adam moments share one flat float32 arena (see
 ``TrainState``), so the optimizer runs a few long cache-blocked loops per
 step rather than one small update per tensor. Checkpoints still store
@@ -52,7 +55,6 @@ from .masking import (
     text_masks_for_samples,
 )
 from .objective import (
-    EmbeddingBatch,
     LOG_MAX_LOGIT_SCALE,
     LossBundle,
     info_nce,
@@ -60,7 +62,7 @@ from .objective import (
     reconstruction_loss,
 )
 from .report import CURVE_HEADER, TIMING_HEADER, read_curve, write_rows
-from .tokenizer import tokenize_batch
+from .tokenizer import TokenizedBatch, tokenize_batch
 
 logger = logging.getLogger(__name__)
 
@@ -257,14 +259,13 @@ def _adamw_runs(state: TrainState, names: list[str]) -> list[list]:
     return runs
 
 
-def adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> bool:
-    """Bias-corrected Adam update with decoupled weight decay.
-
-    Decay multiplies parameters by (1 - lr*wd) separately from the
-    gradient step; the logit scale is exempt. A parameter without an
-    entry in ``grads`` is left alone: no moment update and no decay. A
-    non-finite gradient aborts the whole step (no update) and is
-    reported, not raised.
+def adamw_step(state: TrainState, lr: float) -> bool:
+    """Bias-corrected Adam update with decoupled weight decay, from each
+    parameter's ``grad``. Decay multiplies parameters by (1 - lr*wd)
+    separately from the gradient step; the logit scale is exempt. A
+    parameter whose ``grad`` is None is left alone: no moment update and
+    no decay. A non-finite gradient aborts the whole step (no update)
+    and is reported, not raised.
 
     The gradients are concatenated in arena order and checked by one
     ``isfinite``. The update then runs over each contiguous run of
@@ -273,11 +274,11 @@ def adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> bo
     through the same float32 operations, in the same order, as a
     per-tensor update would apply.
     """
-    names = [name for name in state.params if name in grads]
-    flat_grad = np.concatenate([grads[name].reshape(-1) for name in names]
+    names = [name for name, p in state.params.items() if p.grad is not None]
+    flat_grad = np.concatenate([state.params[name].grad.reshape(-1) for name in names]
                                or [np.empty(0)], dtype=np.float32)
     if not np.isfinite(flat_grad).all():
-        bad = next(name for name in names if not np.isfinite(grads[name]).all())
+        bad = next(name for name in names if not np.isfinite(state.params[name].grad).all())
         state.aborted_steps += 1
         logger.error("non-finite gradient in %s at step %d; step aborted", bad, state.step)
         return False
@@ -325,67 +326,46 @@ def clamp_logit_scale(state: TrainState) -> None:
 def train_step(
     state: TrainState,
     images: np.ndarray,
-    captions: list[str],
+    tokens: TokenizedBatch,
     *,
-    epoch: int = 0,
-    sample_indices=None,
-    lr: Optional[float] = None,
-    mask_ratio: Optional[float] = None,
+    epoch: int,
+    sample_indices: np.ndarray,
+    lr: float,
+    mask_ratio: float,
 ) -> LossBundle:
-    """One optimization step: mask, encode both towers, project, InfoNCE
-    (+ optional reconstruction), backward, AdamW, clamp the logit scale.
-
-    Mutates ``state`` in place and returns the losses.
+    """One optimization step on the images and token rows of the dataset
+    samples ``sample_indices``, which with ``epoch`` key the mask draws:
+    mask, encode both towers, project, InfoNCE (+ reconstruction when
+    ``rec_weight > 0`` and a patch is hidden), backward, AdamW at ``lr``,
+    clamp the logit scale. Mutates ``state`` in place; returns the losses.
     """
-    cfg = state.config
-    enc_cfg = state.encoder_config
+    cfg, enc_cfg, params = state.config, state.encoder_config, state.params
     b = images.shape[0]
-    if len(captions) != b:
-        raise DimensionError(f"batch mismatch: {b} images vs {len(captions)} captions")
-    if sample_indices is None:
-        sample_indices = np.arange(b) + state.step * b
-    if mask_ratio is None:
-        mask_ratio = cfg.mask_ratio
-    if lr is None:
-        lr = lr_at(min(state.samples_seen + b, cfg.total_samples), cfg)
+    if tokens.batch_size != b:
+        raise DimensionError(f"batch mismatch: {b} images vs {tokens.batch_size} captions")
 
-    if images.dtype == np.uint8:
-        images = images.astype(np.float32) / 255.0
     patches = patchify(images, enc_cfg.image.patch_size)
-    tokens = tokenize_batch(captions, seq_len=enc_cfg.text.seq_len)
-
     pmask = patch_masks_for_samples(enc_cfg.image.num_patches, mask_ratio, cfg.seed, epoch,
                                     sample_indices)
     tmask = text_masks_for_samples(
         tokens, cfg.text_mask_ratio, cfg.text_mask_policy, cfg.seed, epoch, sample_indices
     )
 
-    for p in state.params.values():
+    for p in params.values():
         p.zero_grad()
-    reconstruct = cfg.rec_weight > 0 and mask_ratio > 0  # nothing hidden at ratio 0
+    rec = None
     with ad.Graph() as graph:
-        img_out = encode_image(patches, pmask, state.params, enc_cfg, return_tokens=reconstruct)
-        if reconstruct:
-            pooled, visible_tokens = img_out
-        else:
-            pooled = img_out
-        txt_pooled = encode_text(tokens, tmask, state.params, enc_cfg)
-        emb = EmbeddingBatch(
-            image_emb=project_and_normalize(pooled, state.params["proj/img/w"]),
-            text_emb=project_and_normalize(txt_pooled, state.params["proj/txt/w"]),
-            logit_scale=state.params["logit_scale"],
-        )
-        contrastive = info_nce(emb)
-        rec = None
-        if reconstruct:
-            rec = reconstruction_loss(state.params, visible_tokens, pmask, patches, enc_cfg)
+        pooled, visible_tokens = encode_image(patches, pmask, params, enc_cfg)
+        txt_pooled = encode_text(tokens, tmask, params, enc_cfg)
+        image_emb = project_and_normalize(pooled, params["proj/img/w"])
+        text_emb = project_and_normalize(txt_pooled, params["proj/txt/w"])
+        total = contrastive = info_nce(image_emb, text_emb, params["logit_scale"])
+        if cfg.rec_weight > 0 and mask_ratio > 0:  # nothing is hidden at ratio 0
+            rec = reconstruction_loss(params, visible_tokens, pmask, patches, enc_cfg)
             total = ad.add(contrastive, ad.scale(rec, cfg.rec_weight))
-        else:
-            total = contrastive
         graph.backward(total)
 
-    grads = {k: p.grad for k, p in state.params.items() if p.grad is not None}
-    adamw_step(state, grads, lr)
+    adamw_step(state, lr)
     clamp_logit_scale(state)
     state.step += 1
     state.samples_seen += b
@@ -393,7 +373,6 @@ def train_step(
         contrastive=float(contrastive.data),
         reconstruction=float(rec.data) if rec is not None else None,
         total=float(total.data),
-        rec_weight=cfg.rec_weight,
     )
 
 
@@ -417,6 +396,9 @@ def run_phase(
 ) -> TrainState:
     """Drive train_step for n_steps with the given lr schedule and mask.
 
+    The dataset's captions are tokenized once per call; each step takes
+    the token rows at the same shuffled indices as its images.
+
     The schedule is positioned at samples_seen relative to
     ``schedule_origin`` (0 for pre-training, the tune start for the
     unmasked stage), so a checkpoint resume lands on the exact same
@@ -428,6 +410,7 @@ def run_phase(
     if n < b:
         raise ConfigError(f"dataset of {n} samples is smaller than batch {b}")
     per_epoch = n // b
+    tokens = tokenize_batch(dataset.captions, seq_len=state.encoder_config.text.seq_len)
     perm_epoch, perm = -1, None
     for _ in range(n_steps):
         epoch, slot = divmod(state.step, per_epoch)
@@ -439,7 +422,7 @@ def run_phase(
         bundle = train_step(
             state,
             dataset.images[idx],
-            [dataset.captions[i] for i in idx],
+            TokenizedBatch(tokens.token_ids[idx], tokens.valid_lengths[idx]),
             epoch=epoch,
             sample_indices=idx,
             lr=lr_at(phase_samples, schedule),

@@ -53,9 +53,7 @@ class TestForwardValues:
 
     def test_layer_norm_hand_values(self):
         # mean 2, population std sqrt(2/3)
-        out = ad.layer_norm(
-            Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=0.0
-        )
+        out = ad.layer_norm(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, [[-1.2247, 0.0, 1.2247]], atol=1e-4)
 
     def test_layer_norm_empty_axis(self):
@@ -125,7 +123,8 @@ class TestForwardValues:
 
     def test_logsumexp_matches_naive(self):
         x = np.random.default_rng(1).standard_normal((3, 5))
-        out = ad.logsumexp_rows(Tensor(x, dtype=np.float64))
+        with ad.verification_mode():
+            out = ad.logsumexp_rows(Tensor(x))
         assert np.allclose(out.data, np.log(np.exp(x).sum(axis=1)))
 
     def test_clamp_max(self):

@@ -113,10 +113,23 @@ class TestContainer:
         with pytest.raises(DataFormatError):
             read_dataset(tmp_path / "cut.flipds")
 
+    @staticmethod
+    def refuse_second_caption(tmp_path, bad):
+        """Overwrite a 4-record file with a dataset whose second caption is
+        ``bad``: the write is refused and the old file stays whole."""
+        path = tmp_path / "x.flipds"
+        ds = generate_dataset(4, 0, path)
+        before = path.read_bytes()
+        with pytest.raises(DataFormatError, match="caption 1 is"):
+            write_dataset(path, Dataset(ds.images, [ds.captions[0], bad, *ds.captions[2:]]))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.flipds"]  # no temp file left
+
     def test_empty_caption_rejected_on_write(self, tmp_path):
-        ds = Dataset(images=np.zeros((1, 32, 32, 3), dtype=np.uint8), captions=[""])
-        with pytest.raises(DataFormatError):
-            write_dataset(tmp_path / "x.flipds", ds)
+        self.refuse_second_caption(tmp_path, "")
+
+    def test_caption_over_64k_rejected_on_write(self, tmp_path):
+        self.refuse_second_caption(tmp_path, "a red circle " * 6000)
 
     def test_empty_dataset_rejected_on_write(self, tmp_path):
         ds = Dataset(images=np.zeros((0, 32, 32, 3), dtype=np.uint8), captions=[])

@@ -48,6 +48,16 @@ class TestPatchify:
         assert p[0, 6].sum() == 8 * 8 * 3
         assert p[0].sum() == p[0, 6].sum()
 
+    def test_uint8_scaled_to_unit_float32(self):
+        # bit-identical to scaling the whole images before patchifying
+        images = np.random.default_rng(0).integers(0, 256, (2, 32, 32, 3), dtype=np.uint8)
+        p = patchify(images, 8)
+        assert p.dtype == np.float32
+        assert p.tobytes() == patchify(images.astype(np.float32) / 255.0, 8).tobytes()
+        floats = rand_images(2).astype(np.float64)
+        assert patchify(floats, 8).dtype == np.float64
+        assert np.array_equal(patchify(floats, 8)[0, 0], floats[0, :8, :8].reshape(-1))
+
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):
             patchify(rand_images(1), 5)
@@ -89,15 +99,15 @@ class TestEncodeImage:
         cfg, params = tiny
         patches = patchify(rand_images(4), 8)
         m = sample_patch_mask(16, 0.0, np.random.default_rng(5), batch_size=4)
-        dense = encode_image(patches, None, params, cfg)
-        masked = encode_image(patches, m, params, cfg)
+        dense, _ = encode_image(patches, None, params, cfg)
+        masked, _ = encode_image(patches, m, params, cfg)
         assert dense.data.tobytes() == masked.data.tobytes()
 
     def test_sequence_length_seen_by_blocks(self, tiny):
         cfg, params = tiny
         patches = patchify(rand_images(2), 8)
         m = sample_patch_mask(16, 0.5, np.random.default_rng(0), batch_size=2)
-        pooled, tokens = encode_image(patches, m, params, cfg, return_tokens=True)
+        pooled, tokens = encode_image(patches, m, params, cfg)
         assert tokens.shape == (2, 8, 64)
         assert pooled.shape == (2, 64)
 
@@ -105,7 +115,7 @@ class TestEncodeImage:
         cfg, params = tiny
         patches = patchify(rand_images(3), 8)
         m = sample_patch_mask(16, 0.5, np.random.default_rng(2), batch_size=3)
-        base = encode_image(patches, m, params, cfg).data
+        base = encode_image(patches, m, params, cfg)[0].data
         rng = np.random.default_rng(0)
         shuffled = PatchMask(
             ratio=m.ratio,
@@ -113,7 +123,7 @@ class TestEncodeImage:
             hidden=m.hidden,
             n_total=16,
         )
-        permuted = encode_image(patches, shuffled, params, cfg).data
+        permuted = encode_image(patches, shuffled, params, cfg)[0].data
         assert np.allclose(base, permuted, atol=1e-5)
 
     def test_mask_config_mismatch(self, tiny):

@@ -20,7 +20,6 @@ from flip.encoders import (
 from flip.errors import ConfigError
 from flip.masking import full_mask, patch_masks_for_samples, sample_patch_mask
 from flip.objective import (
-    EmbeddingBatch,
     MAX_LOGIT_SCALE,
     info_nce,
     normalize_patches,
@@ -31,10 +30,8 @@ from flip.objective import (
 
 
 def batch_from(img, txt, scale_log=0.0):
-    return EmbeddingBatch(
-        image_emb=Tensor(img), text_emb=Tensor(txt),
-        logit_scale=Tensor(np.array([scale_log])),
-    )
+    """The (image_emb, text_emb, logit_scale) tensors the loss head takes."""
+    return Tensor(img), Tensor(txt), Tensor(np.array([scale_log]))
 
 
 class TestProjection:
@@ -59,17 +56,17 @@ class TestSimilarityLogits:
         rng = np.random.default_rng(0)
         e = rng.standard_normal((3, 5))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
-        logits = similarity_logits(batch_from(e, e)).data
+        logits = similarity_logits(*batch_from(e, e)).data
         assert np.allclose(np.diag(logits), 1.0, atol=1e-5)
 
     def test_orthonormal_identity_matrix(self):
         e = np.eye(4)
-        logits = similarity_logits(batch_from(e, e)).data
+        logits = similarity_logits(*batch_from(e, e)).data
         assert np.allclose(logits, np.eye(4), atol=1e-6)
 
     def test_scale_clamped_at_100(self):
         e = np.eye(2)
-        logits = similarity_logits(batch_from(e, e, math.log(100.0) + 1.0)).data
+        logits = similarity_logits(*batch_from(e, e, math.log(100.0) + 1.0)).data
         assert np.allclose(logits.max(), 100.0, atol=1e-3)
 
     def test_init_constant(self):
@@ -80,23 +77,23 @@ class TestSimilarityLogits:
 class TestInfoNCE:
     def test_two_orthonormal_pairs_closed_form(self):
         e = np.eye(2)
-        loss = info_nce(batch_from(e, e)).data
+        loss = info_nce(*batch_from(e, e)).data
         assert abs(float(loss) - 0.31326) < 1e-4
 
     def test_uniform_logits_ln_b(self):
         for b in (2, 4, 16):
             img = np.tile(np.eye(1, 8), (b, 1))  # identical rows
-            loss = info_nce(batch_from(img, img)).data
+            loss = info_nce(*batch_from(img, img)).data
             assert abs(float(loss) - math.log(b)) < 1e-6
 
     def test_sharp_scale_drives_loss_to_zero(self):
         e = np.eye(4)
-        loss = info_nce(batch_from(e, e, math.log(90.0))).data
+        loss = info_nce(*batch_from(e, e, math.log(90.0))).data
         assert float(loss) < 1e-6
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ConfigError):
-            info_nce(batch_from(np.ones((1, 4)), np.ones((1, 4))))
+            info_nce(*batch_from(np.ones((1, 4)), np.ones((1, 4))))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -104,9 +101,9 @@ class TestInfoNCE:
         txt = rng.standard_normal((6, 5))
         img /= np.linalg.norm(img, axis=1, keepdims=True)
         txt /= np.linalg.norm(txt, axis=1, keepdims=True)
-        base = float(info_nce(batch_from(img, txt, 1.3)).data)
+        base = float(info_nce(*batch_from(img, txt, 1.3)).data)
         perm = rng.permutation(6)
-        shuffled = float(info_nce(batch_from(img[perm], txt[perm], 1.3)).data)
+        shuffled = float(info_nce(*batch_from(img[perm], txt[perm], 1.3)).data)
         assert abs(base - shuffled) < 1e-6
 
     def test_loss_nonnegative(self):
@@ -116,7 +113,7 @@ class TestInfoNCE:
             txt = rng.standard_normal((5, 3))
             img /= np.linalg.norm(img, axis=1, keepdims=True)
             txt /= np.linalg.norm(txt, axis=1, keepdims=True)
-            assert float(info_nce(batch_from(img, txt, rng.uniform(0, 3))).data) >= 0
+            assert float(info_nce(*batch_from(img, txt, rng.uniform(0, 3))).data) >= 0
 
     def test_gradients_match_finite_differences(self):
         def make_inputs(rng):
@@ -132,7 +129,7 @@ class TestInfoNCE:
 
         check = OpCheck(
             name="info_nce",
-            apply=lambda i, t, s: info_nce(EmbeddingBatch(i, t, s)),
+            apply=info_nce,
             make_inputs=make_inputs,
         )
         report = check_gradients(check, tolerance=1e-4)
@@ -148,7 +145,7 @@ class TestZeroShotArgmaxInvariance:
         img /= np.linalg.norm(img, axis=1, keepdims=True)
         txt /= np.linalg.norm(txt, axis=1, keepdims=True)
         for log_scale in (-1.0, 0.0, 2.0, math.log(100)):
-            logits = similarity_logits(batch_from(img, txt, log_scale)).data
+            logits = similarity_logits(*batch_from(img, txt, log_scale)).data
             assert np.array_equal(np.argmax(logits, axis=1),
                                   np.argmax(img @ txt.T, axis=1))
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from flip import autodiff as ad
+from flip import trainer
 from flip.checkpoint import load_tensors, save_tensors
 from flip.data import generate_dataset
 from flip.errors import ConfigError, DataFormatError
@@ -49,6 +50,22 @@ def write_wrapping_checkpoint(path):
     save_tensors(path, {"param/w": np.zeros((2, 2))})
     dims = b"param/w\x02" + struct.pack("<2I", 2, 2)
     path.write_bytes(path.read_bytes().replace(dims, b"param/w\x02" + b"\xff" * 8))
+
+
+def first_step(state, images, captions):
+    """``train_step`` on samples 0..b-1 of epoch 0, at the config's mask
+    ratio and its schedule's lr after one batch."""
+    b = len(captions)
+    return train_step(state, images, tokenize_batch(captions, seq_len=32), epoch=0,
+                      sample_indices=np.arange(b), lr=lr_at(b, state.config),
+                      mask_ratio=state.config.mask_ratio)
+
+
+def set_grads(state, grads):
+    """Give each parameter named in ``grads`` that gradient, the rest none,
+    as a backward pass leaves them for ``adamw_step``."""
+    for name, p in state.params.items():
+        p.grad = grads.get(name)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +173,8 @@ class TestAdamW:
         state = self._state(weight_decay=0.0)
         before = {k: p.data.copy() for k, p in state.params.items()}
         grads = {k: np.zeros_like(p.data) for k, p in state.params.items()}
-        assert adamw_step(state, grads, lr=0.01)
+        set_grads(state, grads)
+        assert adamw_step(state, lr=0.01)
         for k, p in state.params.items():
             assert np.array_equal(p.data, before[k])
 
@@ -165,7 +183,8 @@ class TestAdamW:
         before = {k: p.data.copy() for k, p in state.params.items()}
         grads = {k: np.ones_like(p.data) for k, p in state.params.items()}
         lr = 1e-2
-        adamw_step(state, grads, lr=lr)
+        set_grads(state, grads)
+        adamw_step(state, lr=lr)
         for k, p in state.params.items():
             delta = p.data - before[k]
             assert np.allclose(delta, -lr, rtol=1e-5)
@@ -175,7 +194,8 @@ class TestAdamW:
         before = {k: p.data.copy() for k, p in state.params.items()}
         grads = {k: np.zeros_like(p.data) for k, p in state.params.items()}
         lr = 0.05
-        adamw_step(state, grads, lr=lr)
+        set_grads(state, grads)
+        adamw_step(state, lr=lr)
         for k, p in state.params.items():
             expected = before[k] if k == "logit_scale" else before[k] * (1 - lr * 0.2)
             assert np.allclose(p.data, expected, rtol=1e-6), k
@@ -186,8 +206,9 @@ class TestAdamW:
         grads = {k: np.zeros_like(p.data) for k, p in state.params.items()}
         grads["logit_scale"] = np.array([np.nan], dtype=np.float32)
         grads["txt/pos"][3, 5] = np.inf  # earlier in the arena than logit_scale
+        set_grads(state, grads)
         with caplog.at_level(logging.ERROR, logger="flip.trainer"):
-            assert not adamw_step(state, grads, lr=0.1)
+            assert not adamw_step(state, lr=0.1)
         assert state.aborted_steps == 1 and state.adam_t == 0
         assert "non-finite gradient in txt/pos at step 0" in caplog.text
         assert "logit_scale" not in caplog.text
@@ -199,7 +220,8 @@ class TestAdamW:
         state = self._state(weight_decay=0.2)
         before = state.params["img/pos"].data.copy()
         grads = {k: np.ones_like(p.data) for k, p in state.params.items() if k != "img/pos"}
-        assert adamw_step(state, grads, lr=0.05)
+        set_grads(state, grads)
+        assert adamw_step(state, lr=0.05)
         assert np.array_equal(state.params["img/pos"].data, before)
         assert not state.adam_m["img/pos"].any() and not state.adam_v["img/pos"].any()
 
@@ -211,8 +233,7 @@ class TestTrainStep:
         losses = []
         for seed in range(5):
             state = init_train_state(desk_config(seed=seed))
-            bundle = train_step(state, tiny_dataset.images[:64],
-                                tiny_dataset.captions[:64])
+            bundle = first_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
             losses.append(bundle.total)
         ln_b = math.log(64)
         assert all(ln_b - 0.1 < x < ln_b + 0.8 for x in losses), losses
@@ -220,7 +241,7 @@ class TestTrainStep:
     def test_logit_scale_clamped_after_step(self, tiny_dataset):
         state = init_train_state(desk_config())
         state.params["logit_scale"].data[:] = math.log(MAX_LOGIT_SCALE) + 2.0
-        train_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
+        first_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
         scale = float(state.params["logit_scale"].data[0])
         assert math.exp(scale) <= MAX_LOGIT_SCALE
 
@@ -229,15 +250,26 @@ class TestTrainStep:
         from flip.errors import DimensionError
 
         with pytest.raises(DimensionError):
-            train_step(state, tiny_dataset.images[:4], tiny_dataset.captions[:3])
+            first_step(state, tiny_dataset.images[:4], tiny_dataset.captions[:3])
 
     def test_reconstruction_plumbed_through(self, tiny_dataset):
         state = init_train_state(desk_config(rec_weight=1.0))
-        bundle = train_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
+        bundle = first_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
         assert bundle.reconstruction is not None
         assert bundle.total == pytest.approx(
-            bundle.contrastive + bundle.rec_weight * bundle.reconstruction, rel=1e-6
+            bundle.contrastive + state.config.rec_weight * bundle.reconstruction, rel=1e-6
         )
+
+    def test_phase_tokenizes_captions_once(self, tiny_dataset, monkeypatch):
+        calls = []
+
+        def counting(captions, **kw):
+            calls.append(len(captions))
+            return tokenize_batch(captions, **kw)
+
+        monkeypatch.setattr(trainer, "tokenize_batch", counting)
+        pretrain(init_train_state(desk_config()), tiny_dataset, n_steps=3)
+        assert calls == [len(tiny_dataset)]
 
     @pytest.mark.parametrize(
         "overrides, nodes",
@@ -258,7 +290,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(ad.Graph, "backward", counting)
         state = init_train_state(desk_config(**overrides))
-        train_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
+        first_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
         assert recorded == [nodes]
 
 
@@ -290,6 +322,15 @@ class TestDeterminismAndCheckpoints:
         for k in straight.params:
             assert straight.params[k].data.tobytes() == resumed.params[k].data.tobytes(), k
         assert straight.samples_seen == resumed.samples_seen
+
+    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_tensors(path, {"param/w": np.zeros(2)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # the second entry cannot be cast to float32
+            save_tensors(path, {"param/w": np.ones(2), "param/bad": np.array(["x"])})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]  # no temp file left
 
     def test_checkpoint_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
