@@ -12,7 +12,9 @@ is dropped once its backward rule has run; leaves keep theirs until
 Two numeric modes: training computes in float32; ``verification_mode()``
 switches new tensors to float64 so finite-difference gradient checks have
 enough headroom. Only GELU's erf differs between them: scipy's exact erf
-in float64, a cache-blocked rational erf in float32.
+in float64, a cache-blocked rational erf in float32. ``scipy.special``
+is imported by the first float64 GELU, so training, evaluation and
+checkpoint loading never load scipy through this module.
 
 The op set is deliberately small: exactly what transformer encoders and
 the contrastive / reconstruction losses need, each registered with a
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionError
 
@@ -369,6 +370,8 @@ def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if x.dtype == np.float32:
             _erf32(zb, eb, z2b)
         else:
+            from scipy.special import erf  # loaded by gradient checks only
+
             erf(zb, out=eb)
         np.multiply(xb, 0.5, out=ob)
         np.add(eb, 1.0, out=zb)

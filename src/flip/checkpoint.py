@@ -10,7 +10,8 @@ encoder geometry packed into ``meta/`` entries. Counters are stored as
 24-bit lo/hi float pairs so values survive the float32 container
 exactly.
 
-Checkpoints and datasets are written through ``atomic_write``.
+Checkpoints, datasets and a run directory's config.txt and flops.json
+are written through ``atomic_write``.
 """
 
 from __future__ import annotations

@@ -143,10 +143,15 @@ def write_dataset(path, ds: Dataset) -> None:
         raise DataFormatError(f"{n} images but {len(ds.captions)} captions")
     if n == 0:
         raise DataFormatError("a dataset needs at least one record")
-    raws = [caption.encode("utf-8") for caption in ds.captions]
-    for i, raw in enumerate(raws):
+    raws = []
+    for i, caption in enumerate(ds.captions):
+        try:
+            raw = caption.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise DataFormatError(f"caption {i} is not valid UTF-8: {e.reason}") from e
         if not 0 < len(raw) <= 0xFFFF:
             raise DataFormatError(f"caption {i} is {len(raw)} bytes; it must be 1 to 65535")
+        raws.append(raw)
     with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<IHHB", n, h, w, c))

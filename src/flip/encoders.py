@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -157,7 +156,19 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return truncnorm.rvs(-2.0, 2.0, scale=INIT_STD, size=shape, random_state=rng)
+    """N(0, INIT_STD) cut at two standard deviations, by inverse CDF.
+
+    The same draws as ``scipy.stats.truncnorm.rvs(-2, 2, scale=INIT_STD,
+    size=shape, random_state=rng)``, byte for byte: one uniform per
+    element, then the ``scipy.special`` calls of truncnorm's left-tail
+    ``_ppf`` in the same order. ``scipy.special`` loads on the first
+    call, so a process that only reads a checkpoint never loads it."""
+    from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+
+    q = rng.uniform(size=shape)
+    log_mass = log1p(-ndtr(-2.0) - ndtr(-2.0))
+    log_cdf = logsumexp([np.full(q.shape, log_ndtr(-2.0)), np.log(q) + log_mass], axis=0)
+    return ndtri_exp(log_cdf) * INIT_STD + 0  # truncnorm adds loc 0: -0.0 becomes 0.0
 
 
 def _block_shapes(prefix: str, d: int) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -204,7 +215,8 @@ def init_params(
 ) -> dict[str, Tensor]:
     """Fresh parameter set, drawn in ``param_shapes`` order: unit gains
     (``/g``), zero biases (``/b``), learnable temperature at log(1/0.07),
-    and truncated-normal (0.02) weights, embeddings and mask token."""
+    and truncated-normal (0.02) weights, embeddings and mask token. The
+    truncated-normal draws are what loads ``scipy.special``."""
     rng = per_sample_rng(seed, TAG_INIT, 0, 0)
     constants = {"g": 1.0, "b": 0.0, "logit_scale": LOGIT_SCALE_INIT}  # by last name part
     params: dict[str, Tensor] = {}

@@ -159,17 +159,28 @@ def recall_at_k(
     query_emb: np.ndarray, gallery_emb: np.ndarray, ground_truth, k: int
 ) -> float:
     """Fraction of queries whose true match ranks in the top k by cosine
-    similarity (descending; ties broken by gallery index)."""
-    check_recall_k(k, gallery_emb.shape[0])
+    similarity (descending; ties broken by gallery index, NaN last).
+
+    Nothing is sorted: a query hits when fewer than k gallery items rank
+    above its match, counting those with a higher score and those with
+    an equal score and a lower index."""
+    m = gallery_emb.shape[0]
+    check_recall_k(k, m)
     n = query_emb.shape[0]
-    gt = np.broadcast_to(np.asarray(ground_truth).reshape(-1, 1), (n, 1))
+    truth = np.broadcast_to(np.asarray(ground_truth).reshape(-1), (n,))
+    if n and not 0 <= truth.min() <= truth.max() < m:
+        raise ConfigError(f"ground truth indices must lie in [0, {m})")
+    index = np.arange(m)
     hit = np.empty(n, dtype=bool)
-    # a block of queries at a time, so the similarity matrix and its
-    # argsort never exist whole
+    # a block of queries at a time, so the similarity matrix never exists whole
     for lo in range(0, n, EVAL_BATCH):
+        t = truth[lo : lo + EVAL_BATCH]
         sims = query_emb[lo : lo + EVAL_BATCH] @ gallery_emb.T
-        order = np.argsort(-sims, axis=1, kind="stable")
-        hit[lo : lo + EVAL_BATCH] = (order[:, :k] == gt[lo : lo + EVAL_BATCH]).any(axis=1)
+        np.fmax(sims, -np.inf, out=sims)  # NaN ranks below every score
+        match = sims[np.arange(t.size), t][:, None]
+        above = (np.count_nonzero(sims > match, axis=1)
+                 + np.count_nonzero((sims == match) & (index < t[:, None]), axis=1))
+        hit[lo : lo + EVAL_BATCH] = above < k
     return float(np.mean(hit))
 
 

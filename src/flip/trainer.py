@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import _join_u48, _split_u48, load_tensors, save_tensors
+from .checkpoint import _join_u48, _split_u48, atomic_write, load_tensors, save_tensors
 from .data import Dataset, read_dataset
 from .encoders import (
     EncoderConfig,
@@ -144,7 +144,14 @@ def save_config(config: TrainConfig, path) -> None:
         if f_.name == "betas":
             value = f"{value[0]},{value[1]}"
         lines.append(f"{f_.name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """UTF-8 ``text`` to ``path`` through ``atomic_write``: a write that
+    raises leaves the old file."""
+    with atomic_write(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def load_config(path) -> TrainConfig:
@@ -619,9 +626,8 @@ def run_pretraining(config: TrainConfig, out_dir, resume=None) -> TrainState:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(config, out / "config.txt")
-    (out / "flops.json").write_text(
-        count_flops(state.encoder_config, config.mask_ratio, config.text_mask_ratio).to_json()
-    )
+    flop_report = count_flops(state.encoder_config, config.mask_ratio, config.text_mask_ratio)
+    _write_text(out / "flops.json", flop_report.to_json())
 
     prompts = desk_prompts()
     curve_rows: list[tuple[int, str, float]] = []

@@ -131,6 +131,9 @@ class TestContainer:
     def test_caption_over_64k_rejected_on_write(self, tmp_path):
         self.refuse_second_caption(tmp_path, "a red circle " * 6000)
 
+    def test_caption_not_encodable_as_utf8_rejected_on_write(self, tmp_path):
+        self.refuse_second_caption(tmp_path, "a red \ud800 circle")  # lone surrogate
+
     def test_empty_dataset_rejected_on_write(self, tmp_path):
         ds = Dataset(images=np.zeros((0, 32, 32, 3), dtype=np.uint8), captions=[])
         with pytest.raises(DataFormatError, match="at least one record"):

@@ -7,12 +7,15 @@ import pytest
 from flip import autodiff as ad
 from flip import masking
 from flip.encoders import (
+    INIT_STD,
     EncoderConfig,
     ImageTowerConfig,
     TextTowerConfig,
     encode_image,
     encode_text,
+    _trunc_normal,
     init_params,
+    param_shapes,
     patchify,
     preset,
 )
@@ -30,6 +33,22 @@ def tiny():
 def rand_images(n, rng=None):
     rng = rng or np.random.default_rng(0)
     return rng.random((n, 32, 32, 3)).astype(np.float32)
+
+
+class TestInitDraws:
+    @pytest.mark.parametrize("name", ["tiny", "small"])
+    def test_trunc_normal_is_scipy_truncnorm_byte_for_byte(self, name):
+        from scipy.stats import truncnorm
+        cfg = preset(name)
+        for seed in range(3):
+            for with_decoder in (False, True):
+                ours = masking.per_sample_rng(seed, masking.TAG_INIT, 0, 0)
+                ref = masking.per_sample_rng(seed, masking.TAG_INIT, 0, 0)
+                for pname, shape in param_shapes(cfg, with_decoder):
+                    got = _trunc_normal(ours, shape)
+                    want = truncnorm.rvs(-2.0, 2.0, scale=INIT_STD, size=shape, random_state=ref)
+                    assert got.dtype == want.dtype and got.shape == want.shape, pname
+                    assert got.tobytes() == want.tobytes(), pname
 
 
 class TestPatchify:

@@ -3,6 +3,7 @@ retrieval, linear probe, inference modes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flip.data import CLASS_NAMES, Dataset, make_record
 from flip.encoders import init_params, preset
@@ -151,10 +152,44 @@ class TestRecall:
         q = np.round(rng.standard_normal((EVAL_BATCH * 2 + 37, 4)), 1)
         g = np.round(rng.standard_normal((90, 4)), 1)
         truth = rng.integers(0, 90, size=q.shape[0])
-        order = np.argsort(-(q @ g.T), axis=1, kind="stable")
         for k in (1, 3, 20):
-            whole = float(np.mean((order[:, :k] == truth[:, None]).any(axis=1)))
-            assert recall_at_k(q, g, truth, k) == whole
+            assert recall_at_k(q, g, truth, k) == argsort_recall(q, g, truth, k)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_rank_count_matches_stable_argsort(self, data):
+        # integer-valued embeddings: exact scores and many ties
+        n = data.draw(st.integers(1, EVAL_BATCH + 40), label="queries")
+        m = data.draw(st.integers(1, 40), label="gallery")
+        d = data.draw(st.integers(1, 4), label="dim")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        q = np.round(rng.standard_normal((n, d)) * 2).astype(dtype)
+        g = np.round(rng.standard_normal((m, d)) * 2).astype(dtype)
+        truth = rng.integers(0, m, size=n)
+        k = data.draw(st.integers(1, m), label="k")
+        assert recall_at_k(q, g, truth, k) == argsort_recall(q, g, truth, k)
+
+    def test_nan_scores_rank_last_as_in_argsort(self):
+        rng = np.random.default_rng(5)
+        q = np.round(rng.standard_normal((20, 3)))
+        g = np.round(rng.standard_normal((12, 3)))
+        q[3], g[[2, 7]] = np.nan, np.nan
+        truth = rng.integers(0, 12, size=20)
+        truth[:2] = 7  # true matches that score NaN
+        for k in (1, 4, 12):
+            assert recall_at_k(q, g, truth, k) == argsort_recall(q, g, truth, k)
+
+    @pytest.mark.parametrize("truth", [[0, 4], [-1, 0]])
+    def test_truth_outside_gallery(self, truth):
+        with pytest.raises(ConfigError, match="ground truth"):
+            recall_at_k(np.ones((2, 3)), np.ones((4, 3)), truth, 1)
+
+
+def argsort_recall(q, g, truth, k):
+    """The ranking by definition: a stable argsort of negated scores."""
+    order = np.argsort(-(q @ g.T), axis=1, kind="stable")
+    return float(np.mean((order[:, :k] == np.asarray(truth)[:, None]).any(axis=1)))
 
 
 class TestLinearProbe:

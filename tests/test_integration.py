@@ -54,6 +54,27 @@ class TestRunDirectory:
         assert samples == sorted(samples) and len(samples) >= 2
         assert all(s1 < s2 for s1, s2 in zip(samples, samples[1:]))
 
+    @pytest.mark.parametrize("name", ["config.txt", "flops.json"])
+    def test_failed_write_keeps_the_old_file(self, micro, tmp_path, monkeypatch, name):
+        # the rename that would replace ``name`` fails; the run stops there
+        root, cfg = micro
+        out = tmp_path / "run"
+        out.mkdir()
+        for old in ("config.txt", "flops.json"):
+            (out / old).write_bytes(b"old " + old.encode())
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == name:
+                raise OSError(f"cannot replace {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="cannot replace"):
+            run_pretraining(cfg, out)
+        assert (out / name).read_bytes() == b"old " + name.encode()
+        assert not list(out.glob("*.tmp"))
+
     def test_timing_leaves_out_evaluation(self, micro, tmp_path, monkeypatch):
         # the clock moves 1 s per training step and 100 s per evaluation
         clock = [0.0]
@@ -165,6 +186,33 @@ class TestBlasThreads:
         out = subprocess.run([sys.executable, "-c", show], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.split() == [expected, "1", "1"]
+
+
+class TestScipyLoadsOnDemand:
+    def test_only_a_fresh_init_loads_scipy_special(self, tmp_path):
+        # a fresh process: importing flip, loading a checkpoint and
+        # embedding load no scipy; initializing a model loads
+        # scipy.special (its truncated-normal draws) and never scipy.stats
+        ckpt = tmp_path / "x.ckpt"
+        trainer.save_state(ckpt, trainer.init_train_state(TrainConfig()))
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import flip",
+            "from flip import evaluation, trainer",
+            "def show(): print(*(m in sys.modules for m in ('scipy.special', 'scipy.stats')))",
+            "show()",
+            "params, cfg = trainer.load_encoder(sys.argv[1])",
+            "size = cfg.image.image_size",
+            "evaluation.embed_images(params, cfg, np.zeros((2, size, size, 3), np.uint8))",
+            "show()",
+            "trainer.init_train_state(trainer.TrainConfig())",
+            "show()",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(flip.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script, str(ckpt)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == ["False False", "False False", "True False"]
 
 
 class TestVocabularyFile:
