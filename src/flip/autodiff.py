@@ -18,12 +18,14 @@ checkpoint loading never load scipy through this module.
 
 The op set is deliberately small: exactly what transformer encoders and
 the contrastive / reconstruction losses need, each registered with a
-backward rule and covered by ``check_gradients``. Two of them are fused,
-one tape node each: ``linear`` (matmul plus bias over the last axis) and
-``attention`` (head split, scaled QK^T, padding bias, softmax, AV and
-head merge). They run the same numpy expressions in the same order as
-the chain of primitive ops they replace, so results are bit-identical
-to it; the tape is what shrinks.
+backward rule and covered by ``check_gradients``. Three of them are
+fused, one tape node each: ``linear`` (matmul plus bias over the last
+axis), ``attention`` (head split, scaled QK^T, padding bias, softmax, AV
+and head merge) and ``symmetric_info_nce`` (clamped temperature, scaled
+similarities, both directions' log-sum-exp minus the diagonal, mean).
+They run the same numpy expressions in the same order as the chain of
+primitive ops they replace, so results are bit-identical to it; the
+tape is what shrinks.
 """
 
 from __future__ import annotations
@@ -281,43 +283,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def scale_by(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply by a single-element tensor (e.g. the learnable logit scale)."""
-    if s.size != 1:
-        raise DimensionError(f"scale_by: scale must be a scalar, got shape {s.shape}")
-    sv = s.data.reshape(())
-    out = Tensor(x.data * sv)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g * sv)
-        if s.requires_grad:
-            _accum(s, np.sum(g * x.data).reshape(s.shape))
-
-    return _record(out, (x, s), backward)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g * out.data)
-
-    return _record(out, (x,), backward)
-
-
-def clamp_max(x: Tensor, cap: float) -> Tensor:
-    """min(x, cap); gradient is zero in the clamped region."""
-    out = Tensor(np.minimum(x.data, cap))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g * (x.data < cap))
-
-    return _record(out, (x,), backward)
-
-
 # Eigen's and XLA's float32 erf: an odd 7-term over an even 5-term
 # polynomial in z, coefficients highest power first. With z clamped to
 # [-4, 4] it stays within 8 ulp of erf and gives exactly +-1 past the clamp.
@@ -520,33 +485,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: Tensor | None =
     return _record(out, (q, k, v), backward)
 
 
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """log(sum(exp(x))) over the last axis, computed stably."""
-    m = x.data.max(axis=-1, keepdims=True)
-    ez = np.exp(x.data - m)
-    sez = ez.sum(axis=-1, keepdims=True)
-    out = Tensor((m + np.log(sez)).squeeze(-1))
+def symmetric_info_nce(image_emb: Tensor, text_emb: Tensor, logit_scale: Tensor,
+                       max_log_scale: float) -> Tensor:
+    """CLIP's symmetric InfoNCE on ``[b, d]`` embeddings and a ``[1]``
+    log-space scale, with matched pairs on the diagonal.
+
+    The logits are ``exp(min(logit_scale, max_log_scale)) * image_emb @
+    text_emb^T``; the loss is the mean of the row-wise (image-to-text) and
+    column-wise (text-to-image) cross entropies. The log-scale gets no
+    gradient past the cap.
+    """
+    if image_emb.data.ndim != 2 or text_emb.shape != image_emb.shape:
+        raise DimensionError(f"symmetric_info_nce: needs equal [b, d] embeddings, "
+                             f"got {image_emb.shape} and {text_emb.shape}")
+    if logit_scale.size != 1:
+        raise DimensionError(f"symmetric_info_nce: scale must be a scalar, got {logit_scale.shape}")
+    img, txt = image_emb.data, text_emb.data
+    b = img.shape[0]
+    s = np.exp(np.minimum(logit_scale.data, max_log_scale)).reshape(())
+    raw = img @ txt.T
+    logits = raw * s
+    probs, ce = [], []
+    for x in (logits, logits.T):  # rows are image-to-text, columns text-to-image
+        m = x.max(axis=-1, keepdims=True)
+        ez = np.exp(x - m)
+        sez = ez.sum(axis=-1, keepdims=True)
+        ce.append(((m + np.log(sez)).squeeze(-1) - x.diagonal()).mean())
+        ez /= sez
+        probs.append(ez)
+    out = Tensor((ce[0] + ce[1]) * 0.5)
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, g[..., None] * (ez / sez))
+        gm = (g * 0.5) / b
+        d = (gm * probs[1]).T.copy()
+        diag = d.reshape(-1)[:: b + 1]
+        diag -= gm  # the two directions' target terms, one at a time
+        diag -= gm
+        d += gm * probs[0]
+        graw = d * s
+        if image_emb.requires_grad:
+            _accum_owned(image_emb, graw @ txt)
+        if text_emb.requires_grad:
+            _accum(text_emb, (img.T @ graw).T)
+        if logit_scale.requires_grad:
+            _accum(logit_scale, np.sum(d * raw) * s * (logit_scale.data < max_log_scale))
 
-    return _record(out, (x,), backward)
-
-
-def take_diagonal(x: Tensor) -> Tensor:
-    """Diagonal of a square matrix."""
-    if x.data.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionError(f"take_diagonal: needs a square matrix, got {x.shape}")
-    out = Tensor(x.data.diagonal().copy())
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.fill_diagonal(gx, g)
-            _accum_owned(x, gx)
-
-    return _record(out, (x,), backward)
+    return _record(out, (image_emb, text_emb, logit_scale), backward)
 
 
 def _check_indices(idx: np.ndarray, n: int):
@@ -733,12 +717,6 @@ def _rand(rng, shape):
     return rng.standard_normal(shape)
 
 
-def _away_from(arr, value, margin=1e-3):
-    """Nudge entries off a kink so central differences stay two-sided."""
-    close = np.abs(arr - value) < margin
-    return np.where(close, arr + 2 * margin, arr)
-
-
 def _padding_bias(rng, b, t):
     """[b, 1, 1, t] key bias of 0 or -1e9 that leaves every sample at least
     one key, as ``encode_text`` does (a fully masked row would make central
@@ -780,18 +758,16 @@ def _default_checks() -> dict[str, OpCheck]:
                 {"heads": 2, "bias": _padding_bias(rng, 2, 3)},
             ),
         ),
+        OpCheck(  # a N(0, 1) log-scale lands on either side of the cap
+            "symmetric_info_nce",
+            symmetric_info_nce,
+            lambda rng: ([t(rng, (4, 5)), t(rng, (4, 5)), t(rng, (1,))], {"max_log_scale": 0.5}),
+        ),
         OpCheck("add", add, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("add_bias", add, lambda rng: ([t(rng, (3, 4)), t(rng, (4,))], {})),
         OpCheck("sub", sub, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("mul", mul, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("scale", scale, lambda rng: ([t(rng, (3, 4))], {"c": 1.7})),
-        OpCheck("scale_by", scale_by, lambda rng: ([t(rng, (3, 4)), t(rng, (1,))], {})),
-        OpCheck("exp", exp, lambda rng: ([t(rng, (3, 4))], {})),
-        OpCheck(
-            "clamp_max",
-            clamp_max,
-            lambda rng: ([Tensor(_away_from(_rand(rng, (3, 4)), 0.5), requires_grad=True)], {"cap": 0.5}),
-        ),
         OpCheck("gelu", gelu, lambda rng: ([t(rng, (3, 4))], {})),
         OpCheck(
             "layer_norm",
@@ -803,8 +779,6 @@ def _default_checks() -> dict[str, OpCheck]:
             layer_norm,
             lambda rng: ([t(rng, (2, 3, 6)), t(rng, (6,)), t(rng, (6,))], {}),
         ),
-        OpCheck("logsumexp_rows", logsumexp_rows, lambda rng: ([t(rng, (3, 5))], {})),
-        OpCheck("take_diagonal", take_diagonal, lambda rng: ([t(rng, (4, 4))], {})),
         OpCheck(
             "take_rows",
             take_rows,

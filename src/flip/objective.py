@@ -6,7 +6,8 @@ cosine-similarity matrix scaled by a learnable temperature (stored in
 log space, exp clamped to 100): the mean of image-to-text and
 text-to-image cross entropies with matched pairs on the diagonal. It
 takes plain tensors, the three values CLIP's pseudocode passes: the
-[B, D] image and text embeddings and the [1] log-space scale.
+[B, D] image and text embeddings and the [1] log-space scale, and it is
+one fused tape node, ``autodiff.symmetric_info_nce``.
 
 An optional reconstruction head (small 2-layer decoder at half the
 image width) predicts per-patch normalized pixels of the hidden patches
@@ -61,26 +62,12 @@ def project_and_normalize(feat: Tensor, proj: Tensor) -> Tensor:
     return ad.l2_normalize_rows(ad.matmul(feat, proj))
 
 
-def similarity_logits(image_emb: Tensor, text_emb: Tensor, logit_scale: Tensor) -> Tensor:
-    """logits[i][j] = exp(clamped logit_scale) * <image_i, text_j>, from
-    [B, D] normalized embeddings and the [1] log-space scale."""
-    s = ad.exp(ad.clamp_max(logit_scale, LOG_MAX_LOGIT_SCALE))
-    return ad.scale_by(ad.matmul(image_emb, ad.transpose(text_emb)), s)
-
-
-def _diagonal_cross_entropy(logits: Tensor) -> Tensor:
-    return ad.mean_all(ad.sub(ad.logsumexp_rows(logits), ad.take_diagonal(logits)))
-
-
 def info_nce(image_emb: Tensor, text_emb: Tensor, logit_scale: Tensor) -> Tensor:
     """Symmetric InfoNCE with diagonal targets; other rows are negatives."""
     b = image_emb.shape[0]
     if b < 2:
         raise ConfigError(f"contrastive loss needs batch >= 2, got {b}")
-    logits = similarity_logits(image_emb, text_emb, logit_scale)
-    i2t = _diagonal_cross_entropy(logits)
-    t2i = _diagonal_cross_entropy(ad.transpose(logits))
-    return ad.scale(ad.add(i2t, t2i), 0.5)
+    return ad.symmetric_info_nce(image_emb, text_emb, logit_scale, LOG_MAX_LOGIT_SCALE)
 
 
 def normalize_patches(patches: np.ndarray) -> np.ndarray:

@@ -9,10 +9,12 @@ rows are sorted by compute ascending so they can be plotted directly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, DataFormatError
 
 
@@ -51,9 +53,10 @@ def _read_rows(path: Path, header: str, types: tuple) -> list[tuple]:
 
 def write_rows(path, header: str, rows) -> None:
     """A CSV file of ``header`` and one comma-joined line per row, the
-    format ``_read_rows`` reads back."""
+    format ``_read_rows`` reads back, replaced through ``atomic_write``."""
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_curve(path: Path) -> list[tuple[int, str, float]]:
@@ -61,10 +64,20 @@ def read_curve(path: Path) -> list[tuple[int, str, float]]:
     return _read_rows(path, CURVE_HEADER, (int, str, float))
 
 
-def _read_timing(path: Path) -> dict[int, float]:
-    if not path.exists():
-        return {}
-    return dict(_read_rows(path, TIMING_HEADER, (int, float)))
+def read_timing(path: Path) -> list[tuple[int, float]]:
+    """Rows (samples_seen, seconds) of a run's timing.csv."""
+    return _read_rows(path, TIMING_HEADER, (int, float))
+
+
+def _read_total_flops(path: Path) -> float:
+    """``total_flops`` of a run's flops.json: a finite number >= 0."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))["total_flops"]
+    except (ValueError, KeyError, TypeError) as e:  # not UTF-8, not JSON, no such key
+        raise DataFormatError(f"{path}: not a flops.json with 'total_flops'") from e
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise DataFormatError(f"{path}: total_flops {value!r} is not a finite number >= 0")
+    return value
 
 
 def tradeoff_report(run_dirs) -> list[TradeoffPoint]:
@@ -77,8 +90,9 @@ def tradeoff_report(run_dirs) -> list[TradeoffPoint]:
         flops_file = run / "flops.json"
         if not curve.exists() or not flops_file.exists():
             raise DataFormatError(f"run {run}: missing curve.csv or flops.json")
-        per_sample = json.loads(flops_file.read_text())["total_flops"]
-        timing = _read_timing(run / "timing.csv")
+        per_sample = _read_total_flops(flops_file)
+        timing_file = run / "timing.csv"
+        timing = dict(read_timing(timing_file)) if timing_file.exists() else {}
         for samples, metric, value in read_curve(curve):
             points.append(
                 TradeoffPoint(

@@ -61,7 +61,7 @@ from .objective import (
     project_and_normalize,
     reconstruction_loss,
 )
-from .report import CURVE_HEADER, TIMING_HEADER, read_curve, write_rows
+from .report import CURVE_HEADER, TIMING_HEADER, read_curve, read_timing, write_rows
 from .tokenizer import TokenizedBatch, tokenize_batch
 
 logger = logging.getLogger(__name__)
@@ -367,7 +367,7 @@ def train_step(
         image_emb = project_and_normalize(pooled, params["proj/img/w"])
         text_emb = project_and_normalize(txt_pooled, params["proj/txt/w"])
         total = contrastive = info_nce(image_emb, text_emb, params["logit_scale"])
-        if cfg.rec_weight > 0 and mask_ratio > 0:  # nothing is hidden at ratio 0
+        if cfg.rec_weight > 0 and pmask.hidden.size:
             rec = reconstruction_loss(params, visible_tokens, pmask, patches, enc_cfg)
             total = ad.add(contrastive, ad.scale(rec, cfg.rec_weight))
         graph.backward(total)
@@ -611,8 +611,10 @@ def run_pretraining(config: TrainConfig, out_dir, resume=None) -> TrainState:
     ``resume``, writing a self-contained run directory: config.txt,
     flops.json, curve.csv (zero-shot accuracy at every multiple of
     ``eval_every_samples``, and at the end), timing.csv (seconds since the
-    call began, less evaluation) and final.ckpt. Nothing is written
-    before the checkpoint and the datasets have been read.
+    call began, less evaluation) and final.ckpt. A resumed run keeps the
+    rows that ``out_dir`` already holds up to the checkpoint's samples,
+    and its seconds continue from the last kept one. Nothing is written
+    before the checkpoint, the datasets and those rows have been read.
     """
     from .evaluation import desk_prompts, zero_shot_accuracy
 
@@ -624,14 +626,22 @@ def run_pretraining(config: TrainConfig, out_dir, resume=None) -> TrainState:
     eval_set = (read_dataset_for(config.eval_data, state.encoder_config)
                 if config.eval_data else None)
     out = Path(out_dir)
+
+    def kept_rows(read, name: str) -> list:
+        """The rows of ``out/name`` that a resumed run continues from."""
+        if resume is None or not (out / name).exists():
+            return []
+        return [row for row in read(out / name) if row[0] <= state.samples_seen]
+
+    curve_rows = kept_rows(read_curve, "curve.csv")
+    timing_rows = kept_rows(read_timing, "timing.csv")
+    t_start -= timing_rows[-1][1] if timing_rows else 0.0  # seconds continue from the kept rows
     out.mkdir(parents=True, exist_ok=True)
     save_config(config, out / "config.txt")
     flop_report = count_flops(state.encoder_config, config.mask_ratio, config.text_mask_ratio)
     _write_text(out / "flops.json", flop_report.to_json())
 
     prompts = desk_prompts()
-    curve_rows: list[tuple[int, str, float]] = []
-    timing_rows: list[tuple[int, float]] = []
     eval_seconds = 0.0
 
     def eval_point():

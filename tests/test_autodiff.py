@@ -121,15 +121,28 @@ class TestForwardValues:
             with pytest.raises(DimensionError, match="slice_axis"):
                 ad.slice_axis(a, start, stop, axis=1)
 
+    @staticmethod
+    def _naive_info_nce(img, txt, scale):
+        logits = scale * img @ txt.T
+        i2t = np.log(np.exp(logits).sum(axis=1)) - np.diag(logits)
+        t2i = np.log(np.exp(logits).sum(axis=0)) - np.diag(logits)
+        return 0.5 * (i2t.mean() + t2i.mean())
+
     def test_logsumexp_matches_naive(self):
-        x = np.random.default_rng(1).standard_normal((3, 5))
+        rng = np.random.default_rng(1)
+        img, txt = rng.standard_normal((2, 4, 3))
         with ad.verification_mode():
-            out = ad.logsumexp_rows(Tensor(x))
-        assert np.allclose(out.data, np.log(np.exp(x).sum(axis=1)))
+            out = ad.symmetric_info_nce(Tensor(img), Tensor(txt), Tensor([0.3]), 1.0)
+        assert np.allclose(out.data, self._naive_info_nce(img, txt, math.exp(0.3)))
 
     def test_clamp_max(self):
-        out = ad.clamp_max(Tensor([0.2, 0.9]), 0.5)
-        assert np.allclose(out.data, [0.2, 0.5])
+        # the log-scale is capped at max_log_scale before the exp
+        rng = np.random.default_rng(2)
+        img, txt = rng.standard_normal((2, 4, 3))
+        with ad.verification_mode():
+            for log_scale, scale in ((0.2, math.exp(0.2)), (0.9, math.exp(0.5))):
+                out = ad.symmetric_info_nce(Tensor(img), Tensor(txt), Tensor([log_scale]), 0.5)
+                assert np.allclose(out.data, self._naive_info_nce(img, txt, scale))
 
     def test_l2_normalize_rows(self):
         out = ad.l2_normalize_rows(Tensor([[3.0, 4.0]]))
@@ -276,7 +289,7 @@ class TestGradientLifecycle:
         table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         with Graph() as g:
             h = ad.add(ad.gelu(ad.matmul(x, w)), ad.take_rows(table, [0, 2, 2, 4]))
-            g.backward(ad.mean_all(ad.take_diagonal(ad.matmul(h, ad.transpose(h)))))
+            g.backward(ad.mean_all(ad.slice_axis(ad.matmul(h, ad.transpose(h)), 1, 3, axis=1)))
         assert len(g.nodes) == 8
         assert all(node.output.grad is None for node in g.nodes)
         for leaf in (x, w, table):
@@ -360,6 +373,21 @@ class TestFusedOps:
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
         assert nodes == 5 + 2 < ref_nodes  # 5 fused ops + the loss's mul and sum_all
+
+    def test_symmetric_info_nce_is_one_tape_node(self):
+        rng = np.random.default_rng(3)
+        img, txt = (Tensor(rng.standard_normal((4, 3)), requires_grad=True) for _ in range(2))
+        scale = Tensor([0.7], requires_grad=True)
+        with Graph() as g:
+            loss = ad.symmetric_info_nce(img, txt, scale, 4.0)
+        assert loss.shape == () and len(g.nodes) == 1
+
+    def test_symmetric_info_nce_rejects_bad_shapes(self):
+        e, scale = Tensor(np.ones((3, 2))), Tensor([0.0])
+        with pytest.raises(DimensionError, match="symmetric_info_nce"):
+            ad.symmetric_info_nce(e, Tensor(np.ones((3, 4))), scale, 1.0)
+        with pytest.raises(DimensionError, match="symmetric_info_nce"):
+            ad.symmetric_info_nce(e, e, Tensor([0.0, 1.0]), 1.0)
 
     def test_linear_keeps_leading_axes(self):
         x = Tensor(np.ones((2, 3, 4)))

@@ -377,6 +377,21 @@ class TestReport:
         assert main(["report", "--runs", str(d)]) == 2
         assert "timing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"total_flops": 1', b'{"flops": 10}', b'{"total_flops": "12"}',
+         b'{"total_flops": true}', b'{"total_flops": NaN}', b'{"total_flops": -5}',
+         b'{"total_flops": 1e999}', b'[10]', b'{"total_flops": 1\xff}'],
+        ids=["truncated", "missing-key", "string", "bool", "nan", "negative", "infinite",
+             "not-an-object", "not-utf8"],
+    )
+    def test_corrupt_flops_json_is_data_error(self, tmp_path, capsys, content):
+        d = self._run_dir(tmp_path)
+        (d / "flops.json").write_bytes(content)
+        assert main(["report", "--runs", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert "flops.json" in err and "Traceback" not in err
+
     def test_non_utf8_curve_is_data_error(self, tmp_path, capsys):
         d = self._run_dir(tmp_path)
         (d / "curve.csv").write_bytes(b"samples,metric,value\n64,acc\xff,0.5\n")

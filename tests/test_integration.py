@@ -18,7 +18,7 @@ from flip.data import generate_dataset, read_dataset
 from flip.encoders import init_params, preset
 from flip import evaluation, trainer
 from flip.evaluation import embed_images
-from flip.report import read_curve
+from flip.report import read_curve, read_timing
 from flip.trainer import (
     TrainConfig,
     load_state,
@@ -145,6 +145,20 @@ class TestCliResumeAndTune:
         capsys.readouterr()
         assert main(["report", "--runs", str(second)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_resume_in_same_directory_keeps_earlier_rows(self, micro, tmp_path):
+        root, cfg = micro
+        out = tmp_path / "run"
+        run_pretraining(cfg, out)
+        first_timing = read_timing(out / "timing.csv")
+        resumed_cfg = TrainConfig(**{**cfg.__dict__, "total_samples": 64 * 5})
+        run_pretraining(resumed_cfg, out, resume=out / "final.ckpt")
+        assert [row[0] for row in read_curve(out / "curve.csv")] == [64, 128, 192, 256, 320]
+        timing = read_timing(out / "timing.csv")
+        assert timing[:3] == first_timing
+        assert [row[0] for row in timing] == [64, 128, 192, 256, 320]
+        seconds = [row[1] for row in timing]
+        assert all(a < b for a, b in zip(seconds, seconds[1:]))
 
     def test_tune_unmasked_cli(self, micro, tmp_path, capsys):
         root, cfg = micro

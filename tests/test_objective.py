@@ -20,12 +20,12 @@ from flip.encoders import (
 from flip.errors import ConfigError
 from flip.masking import full_mask, patch_masks_for_samples, sample_patch_mask
 from flip.objective import (
+    LOG_MAX_LOGIT_SCALE,
     MAX_LOGIT_SCALE,
     info_nce,
     normalize_patches,
     project_and_normalize,
     reconstruction_loss,
-    similarity_logits,
 )
 
 
@@ -52,22 +52,41 @@ class TestProjection:
 
 
 class TestSimilarityLogits:
+    """The temperature-scaled similarities inside the fused loss."""
+
     def test_identical_embeddings_diag_one(self):
         rng = np.random.default_rng(0)
         e = rng.standard_normal((3, 5))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
-        logits = similarity_logits(*batch_from(e, e)).data
-        assert np.allclose(np.diag(logits), 1.0, atol=1e-5)
+        loss = float(info_nce(*batch_from(e, e)).data)
+        # at scale 1 each matched pair's logit is its cosine, 1
+        assert loss == pytest.approx(np.mean(np.log(np.exp(e @ e.T).sum(axis=1))) - 1.0,
+                                     abs=1e-5)
 
     def test_orthonormal_identity_matrix(self):
         e = np.eye(4)
-        logits = similarity_logits(*batch_from(e, e)).data
-        assert np.allclose(logits, np.eye(4), atol=1e-6)
+        loss = float(info_nce(*batch_from(e, e)).data)
+        assert loss == pytest.approx(math.log(math.e + 3.0) - 1.0, abs=1e-6)
 
     def test_scale_clamped_at_100(self):
-        e = np.eye(2)
-        logits = similarity_logits(*batch_from(e, e, math.log(100.0) + 1.0)).data
-        assert np.allclose(logits.max(), 100.0, atol=1e-3)
+        rng = np.random.default_rng(1)
+        img, txt = rng.standard_normal((2, 4, 5))
+        img /= np.linalg.norm(img, axis=1, keepdims=True)
+        txt /= np.linalg.norm(txt, axis=1, keepdims=True)
+
+        def run(log_scale):
+            scale = Tensor(np.array([log_scale]), requires_grad=True)
+            with Graph() as g:
+                loss = info_nce(Tensor(img), Tensor(txt), scale)
+                g.backward(loss)
+            return float(loss.data), scale.grad
+
+        at_cap, _ = run(LOG_MAX_LOGIT_SCALE)
+        for past_cap in (math.log(100.0) + 1e-3, math.log(100.0) + 1.0):
+            loss, grad = run(past_cap)
+            assert loss == at_cap
+            assert np.array_equal(grad, [0.0])
+        assert run(LOG_MAX_LOGIT_SCALE - 0.5)[1][0] != 0.0
 
     def test_init_constant(self):
         assert math.isclose(math.exp(LOGIT_SCALE_INIT), 1 / 0.07, rel_tol=1e-9)
@@ -145,7 +164,7 @@ class TestZeroShotArgmaxInvariance:
         img /= np.linalg.norm(img, axis=1, keepdims=True)
         txt /= np.linalg.norm(txt, axis=1, keepdims=True)
         for log_scale in (-1.0, 0.0, 2.0, math.log(100)):
-            logits = similarity_logits(*batch_from(img, txt, log_scale)).data
+            logits = math.exp(min(log_scale, LOG_MAX_LOGIT_SCALE)) * (img @ txt.T)
             assert np.array_equal(np.argmax(logits, axis=1),
                                   np.argmax(img @ txt.T, axis=1))
 

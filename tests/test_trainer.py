@@ -274,13 +274,14 @@ class TestTrainStep:
     @pytest.mark.parametrize(
         "overrides, nodes",
         [
-            (dict(mask_ratio=0.5), 103),
-            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 141),
+            (dict(mask_ratio=0.5), 88),
+            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 126),
         ],
         ids=["m50", "m75-rec"],
     )
     def test_tape_nodes_per_step(self, tiny_dataset, monkeypatch, overrides, nodes):
-        # one tape node per fused linear / attention: 12 per transformer block
+        # one tape node per fused linear / attention (12 per transformer
+        # block) and one for the fused InfoNCE
         recorded = []
         backward = ad.Graph.backward
 
@@ -537,6 +538,15 @@ class TestUnmaskedTune:
         assert [b.reconstruction for b in bundles] == [None, None]
         assert all(b.total == b.contrastive for b in bundles)
         assert "nothing is hidden" not in caplog.text
+
+    def test_ratio_that_hides_no_patch_skips_reconstruction(self, tiny_dataset, caplog):
+        # round(0.97 * 16) keeps all 16 patches of the tiny preset
+        state = init_train_state(desk_config(mask_ratio=0.03, rec_weight=1.0))
+        with caplog.at_level(logging.WARNING):
+            bundle = first_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
+        assert bundle.reconstruction is None
+        assert bundle.total == bundle.contrastive
+        assert not caplog.records
 
 
 class TestScalingAxes:
