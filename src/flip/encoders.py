@@ -9,11 +9,14 @@ same weights later run on full-length sequences.
 
 The text tower is a non-autoregressive transformer over fixed-length
 token sequences. Padding tokens are hidden from attention keys and from
-pooling, so an embedding depends only on the valid tokens and their
-positions; visible padding is inert. It is also not computed: every
+pooling, so up to float32 rounding an embedding depends only on the
+valid tokens and their positions. Padding is also not computed: every
 batch runs only up to the last visible column that holds a valid token
 in some row, which on sorted mask rows is the batch's longest visible
-valid prefix. A sample with no valid visible token attends to and pools
+valid prefix. That width sets the lengths of the softmax sums and of the
+pooling product, so the same caption can embed differently in the last
+bits next to a longer one (up to about 1e-7 per element on the desk
+captions). A sample with no valid visible token attends to and pools
 over every column the batch runs. Both towers end with a final layer
 norm and average pooling (no class token).
 """
@@ -303,8 +306,11 @@ def encode_text(
     token in some row (all ``mask.n_visible`` columns if no row has one):
     the padding columns past it are not computed at all. On the sorted
     rows that flip's masks hold, that is the batch's longest visible
-    valid prefix. A sample with no valid visible token attends to and
-    pools over every column the batch runs.
+    valid prefix. Padding is inert only up to float32 rounding: that
+    width sets the lengths of the softmax sums and the pooling product,
+    so a row's features can change in the last bits with the longest
+    caption in its batch. A sample with no valid visible token attends
+    to and pools over every column the batch runs.
     """
     txt = config.text
     b, length = batch.token_ids.shape

@@ -25,7 +25,17 @@ from .masking import TAG_EVAL, complementary_views, per_sample_rng, sample_patch
 from .objective import project_and_normalize
 from .tokenizer import tokenize_batch
 
+# Captions per text forward and queries per retrieval block. A text
+# embedding can change in the last bits with the longest caption in its
+# batch (see ``encode_text``), so a different text chunk would change
+# the embeddings; at 128 the 112 desk class prompts share one batch.
 EVAL_BATCH = 128
+# Images per image forward, the training batch. An image embedding does
+# not depend on the rest of its chunk. At 64 a full-view ``tiny`` chunk
+# peaks at a 1 MiB MLP activation ([1024, 256] float32); at 128 that
+# activation is 2 MiB, which glibc maps afresh for every op, at about
+# 78k minor page faults per ``eval_inference_modes`` call on 1024 images.
+IMAGE_CHUNK = 64
 
 DESK_TEMPLATES = (
     "a photo of a {}.",
@@ -86,11 +96,12 @@ def config_hash(*parts) -> str:
 
 
 def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
-    """Normalized image embeddings, in row order, computed in chunks, so
-    ``patchify`` scales uint8 images to [0, 1] one chunk at a time."""
+    """Normalized image embeddings, in row order, computed ``IMAGE_CHUNK``
+    images at a time, so ``patchify`` scales uint8 images to [0, 1] one
+    chunk at a time."""
     out = []
-    for lo in range(0, images.shape[0], EVAL_BATCH):
-        chunk = patchify(images[lo : lo + EVAL_BATCH], config.image.patch_size)
+    for lo in range(0, images.shape[0], IMAGE_CHUNK):
+        chunk = patchify(images[lo : lo + IMAGE_CHUNK], config.image.patch_size)
         m = None
         if mask is not None:
             m = _slice_mask(mask, lo, lo + chunk.shape[0])

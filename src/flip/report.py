@@ -33,9 +33,10 @@ CURVE_HEADER = "samples,metric,value"
 TIMING_HEADER = "samples,seconds"
 
 
-def _read_rows(path: Path, header: str, types: tuple) -> list[tuple]:
+def _read_rows(path: Path, header: str, types: tuple, check) -> list[tuple]:
     """Rows after ``header``, field i converted by ``types[i]``. A wrong
-    header or a malformed row raises ``DataFormatError`` naming the line."""
+    header, a malformed row or a row for which ``check(row, previous_row)``
+    names a problem raises ``DataFormatError`` naming the line."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as e:
@@ -45,9 +46,13 @@ def _read_rows(path: Path, header: str, types: tuple) -> list[tuple]:
     rows = []
     for lineno, line in enumerate(lines[1:], 2):
         try:
-            rows.append(tuple(t(f) for t, f in zip(types, line.split(","), strict=True)))
+            row = tuple(t(f) for t, f in zip(types, line.split(","), strict=True))
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: malformed row {line!r}") from e
+        problem = check(row, rows[-1] if rows else None)
+        if problem:
+            raise DataFormatError(f"{path}:{lineno}: {problem} in row {line!r}")
+        rows.append(row)
     return rows
 
 
@@ -59,14 +64,36 @@ def write_rows(path, header: str, rows) -> None:
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _curve_problem(row, previous) -> Optional[str]:
+    samples, _, value = row
+    if samples < 0:
+        return "negative samples"
+    if not math.isfinite(value):
+        return "non-finite value"
+    return None
+
+
+def _timing_problem(row, previous) -> Optional[str]:
+    samples, seconds = row
+    if samples < 0:
+        return "negative samples"
+    if not 0 <= seconds < math.inf:
+        return "seconds not a finite number >= 0"
+    if previous is not None and samples <= previous[0]:
+        return "samples not above the previous row's"
+    return None
+
+
 def read_curve(path: Path) -> list[tuple[int, str, float]]:
-    """Rows (samples_seen, metric, value) of a run's curve.csv."""
-    return _read_rows(path, CURVE_HEADER, (int, str, float))
+    """Rows (samples_seen, metric, value) of a run's curve.csv: samples
+    >= 0 and finite values."""
+    return _read_rows(path, CURVE_HEADER, (int, str, float), _curve_problem)
 
 
 def read_timing(path: Path) -> list[tuple[int, float]]:
-    """Rows (samples_seen, seconds) of a run's timing.csv."""
-    return _read_rows(path, TIMING_HEADER, (int, float))
+    """Rows (samples_seen, seconds) of a run's timing.csv: samples >= 0
+    and strictly increasing, seconds finite and >= 0."""
+    return _read_rows(path, TIMING_HEADER, (int, float), _timing_problem)
 
 
 def _read_total_flops(path: Path) -> float:

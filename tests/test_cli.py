@@ -371,6 +371,22 @@ class TestReport:
         assert main(["report", "--runs", str(d)]) == 2
         assert "timing.csv:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "curve_rows,timing_rows,where",
+        [("-64,zero_shot_acc,0.5", "64,1.5", "curve.csv:2"),
+         ("64,zero_shot_acc,nan", "64,1.5", "curve.csv:2"),
+         ("64,zero_shot_acc,0.5\n128,zero_shot_acc,inf", "64,1.5", "curve.csv:3"),
+         ("64,zero_shot_acc,0.5", "64,-1.5", "timing.csv:2"),
+         ("64,zero_shot_acc,0.5", "64,1.5\n64,2.5", "timing.csv:3")],
+        ids=["negative-samples", "nan", "inf", "negative-seconds", "repeated-timing-sample"],
+    )
+    def test_impossible_row_is_data_error(self, tmp_path, capsys, curve_rows, timing_rows,
+                                          where):
+        d = self._run_dir(tmp_path, curve_rows=curve_rows, timing_rows=timing_rows)
+        assert main(["report", "--runs", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
     def test_wrong_timing_header_is_data_error(self, tmp_path, capsys):
         d = self._run_dir(tmp_path)
         (d / "timing.csv").write_text("seconds,samples\n1.5,64\n")

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from flip.data import CLASS_NAMES, Dataset, make_record
 from flip.encoders import init_params, preset
 from flip.errors import ConfigError
+from flip import evaluation
 from flip.evaluation import (
     EVAL_BATCH,
+    IMAGE_CHUNK,
     EvalReport,
     ProbeConfig,
     PromptSet,
@@ -111,10 +113,44 @@ class TestEmbedImages:
         cfg, params = tiny
         rng = np.random.default_rng(4)
         size = cfg.image.image_size
-        images = rng.integers(0, 256, size=(EVAL_BATCH + 5, size, size, 3), dtype=np.uint8)
+        images = rng.integers(0, 256, size=(IMAGE_CHUNK + 5, size, size, 3), dtype=np.uint8)
         scaled = images.astype(np.float32) / 255.0
         assert np.array_equal(embed_images(params, cfg, images),
                               embed_images(params, cfg, scaled))
+
+    def test_chunk_size_does_not_change_embeddings(self, tiny, monkeypatch):
+        from flip.masking import complementary_views, sample_patch_mask
+
+        cfg, params = tiny
+        n, size = 150, cfg.image.image_size
+        images = np.random.default_rng(5).integers(0, 256, size=(n, size, size, 3), dtype=np.uint8)
+        n_patches = cfg.image.num_patches
+        masks = [None, sample_patch_mask(n_patches, 0.5, np.random.default_rng(6), batch_size=n),
+                 *complementary_views(n_patches, 0.75, np.random.default_rng(7), batch_size=n)]
+        by_chunk = {}
+        for chunk in (64, 128):
+            monkeypatch.setattr(evaluation, "IMAGE_CHUNK", chunk)
+            by_chunk[chunk] = [embed_images(params, cfg, images, mask=m).tobytes() for m in masks]
+        assert by_chunk[64] == by_chunk[128]
+
+    def test_inference_modes_activations_stay_at_most_one_mib(self, tiny, monkeypatch):
+        # the widest activation of a tiny forward is the GELU input; a
+        # full-view chunk of 128 images makes it 2**19 float32 elements
+        from flip import autodiff
+
+        cfg, params = tiny
+        images = np.stack([make_record(1, i)[0] for i in range(200)])
+        captions = [make_record(1, i)[1] for i in range(200)]
+        sizes = []
+        gelu = autodiff.gelu
+
+        def recording_gelu(x):
+            sizes.append(x.data.size)
+            return gelu(x)
+
+        monkeypatch.setattr(autodiff, "gelu", recording_gelu)
+        eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=0.5)
+        assert sizes and max(sizes) <= 2**18
 
 
 class TestRecall:
