@@ -18,14 +18,15 @@ checkpoint loading never load scipy through this module.
 
 The op set is deliberately small: exactly what transformer encoders and
 the contrastive / reconstruction losses need, each registered with a
-backward rule and covered by ``check_gradients``. Three of them are
+backward rule and covered by ``check_gradients``. Four of them are
 fused, one tape node each: ``linear`` (matmul plus bias over the last
-axis), ``attention`` (head split, scaled QK^T, padding bias, softmax, AV
-and head merge) and ``symmetric_info_nce`` (clamped temperature, scaled
-similarities, both directions' log-sum-exp minus the diagonal, mean).
-They run the same numpy expressions in the same order as the chain of
-primitive ops they replace, so results are bit-identical to it; the
-tape is what shrinks.
+axis, plus an optional same-shape residual), ``attention`` (head split,
+scaled QK^T, padding bias, softmax, AV and head merge),
+``symmetric_info_nce`` (clamped temperature, scaled similarities, both
+directions' log-sum-exp minus the diagonal, mean) and
+``mean_squared_error`` (difference, square, mean). They run the same
+numpy expressions in the same order as the chain of primitive ops they
+replace, so results are bit-identical to it; the tape is what shrinks.
 """
 
 from __future__ import annotations
@@ -206,18 +207,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` over the last axis of ``x``; leading axes are kept."""
+def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``; leading axes are kept.
+    ``residual``, of exactly the output's shape, is added last into the
+    same buffer (a pre-norm block's skip connection)."""
     if (w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0]
             or b.shape != w.shape[1:]):
         raise DimensionError(f"linear: shapes {x.shape} x {w.shape} + {b.shape} do not fit")
     d_in, d_out = w.shape
+    shape = x.shape[:-1] + (d_out,)
+    if residual is not None and residual.shape != shape:
+        raise DimensionError(f"linear: residual {residual.shape} does not match output {shape}")
     x2 = x.data.reshape(-1, d_in)
     out2 = x2 @ w.data
     out2 += b.data
-    out = Tensor(out2.reshape(x.shape[:-1] + (d_out,)))
+    if residual is not None:
+        out2 += residual.data.reshape(-1, d_out)
+    out = Tensor(out2.reshape(shape))
 
     def backward(g):
+        if residual is not None and residual.requires_grad:
+            _accum(residual, g)
         g2 = g.reshape(-1, d_out)
         if b.requires_grad:
             _accum_owned(b, g2.sum(axis=0))
@@ -226,7 +236,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             _accum_owned(w, x2.T @ g2)
 
-    return _record(out, (x, w, b), backward)
+    return _record(out, (x, w, b) if residual is None else (x, w, b, residual), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -240,20 +250,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, g)
         if b.requires_grad:
             _accum(b, _unbroadcast(g, b.shape))
-
-    return _record(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if np.broadcast_shapes(a.shape, b.shape) != a.shape:
-        raise DimensionError(f"sub: {b.shape} does not broadcast onto {a.shape}")
-    out = Tensor(a.data - b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -641,16 +637,24 @@ def mean_over_axis(x: Tensor, axis: int) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    """Full reduction to a scalar."""
-    n = x.size
-    out = Tensor(x.data.mean())
+def mean_squared_error(pred: Tensor, target) -> Tensor:
+    """``mean((pred - target)^2)`` over all elements. ``target`` is a
+    constant array of ``pred``'s shape and gets no gradient."""
+    target = np.asarray(target, dtype=pred.data.dtype)
+    if target.shape != pred.shape or target.size == 0:
+        raise DimensionError(
+            f"mean_squared_error: target {target.shape} does not fit prediction {pred.shape}"
+        )
+    d = pred.data - target
+    out = Tensor((d * d).mean())
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, g / n)
+        if pred.requires_grad:
+            gd = (g / d.size) * d
+            gd += gd  # the two factors of d * d, one at a time
+            _accum_owned(pred, gd)
 
-    return _record(out, (x,), backward)
+    return _record(out, (pred,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -746,6 +750,11 @@ def _default_checks() -> dict[str, OpCheck]:
             lambda rng: ([t(rng, (2, 3, 4)), t(rng, (4, 3)), t(rng, (3,))], {}),
         ),
         OpCheck(
+            "linear_residual",
+            linear,
+            lambda rng: ([t(rng, (2, 3, 4)), t(rng, (4, 3)), t(rng, (3,)), t(rng, (2, 3, 3))], {}),
+        ),
+        OpCheck(
             "attention",
             attention,
             lambda rng: ([t(rng, (2, 3, 4)) for _ in range(3)], {"heads": 2}),
@@ -765,7 +774,6 @@ def _default_checks() -> dict[str, OpCheck]:
         ),
         OpCheck("add", add, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("add_bias", add, lambda rng: ([t(rng, (3, 4)), t(rng, (4,))], {})),
-        OpCheck("sub", sub, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("mul", mul, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("scale", scale, lambda rng: ([t(rng, (3, 4))], {"c": 1.7})),
         OpCheck("gelu", gelu, lambda rng: ([t(rng, (3, 4))], {})),
@@ -809,7 +817,8 @@ def _default_checks() -> dict[str, OpCheck]:
         OpCheck(
             "mean_over_axis", mean_over_axis, lambda rng: ([t(rng, (3, 4))], {"axis": 0})
         ),
-        OpCheck("mean_all", mean_all, lambda rng: ([t(rng, (3, 4))], {})),
+        OpCheck("mean_squared_error", mean_squared_error,
+                lambda rng: ([t(rng, (2, 3, 4))], {"target": _rand(rng, (2, 3, 4))})),
         OpCheck("sum_all", sum_all, lambda rng: ([t(rng, (3, 4))], {})),
         OpCheck("l2_normalize_rows", l2_normalize_rows, lambda rng: ([t(rng, (4, 5))], {})),
     ]

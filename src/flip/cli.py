@@ -90,9 +90,6 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen_data(args) -> int:
-    if args.n <= 0:
-        print("flip gen-data: error: --n must be positive", file=sys.stderr)
-        return EXIT_USAGE
     generate_dataset(args.n, args.seed, args.out)
     print(f"wrote {args.n} records to {args.out}")
     return EXIT_OK

@@ -240,14 +240,14 @@ def transformer_block(
     """Pre-norm block: x + attn(ln(x)); x + mlp(ln(x)). No dropout."""
     p = params
 
-    def linear(h, name):
-        return ad.linear(h, p[f"{prefix}/{name}/w"], p[f"{prefix}/{name}/b"])
+    def linear(h, name, residual=None):
+        return ad.linear(h, p[f"{prefix}/{name}/w"], p[f"{prefix}/{name}/b"], residual)
 
     h = ad.layer_norm(x, p[f"{prefix}/ln1/g"], p[f"{prefix}/ln1/b"])
     ctx = ad.attention(linear(h, "q"), linear(h, "k"), linear(h, "v"), heads, attn_bias)
-    x = ad.add(x, linear(ctx, "attn_out"))
+    x = linear(ctx, "attn_out", residual=x)
     h = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
-    return ad.add(x, linear(ad.gelu(linear(h, "mlp1")), "mlp2"))
+    return linear(ad.gelu(linear(h, "mlp1")), "mlp2", residual=x)
 
 
 def _check_mask(mask: PatchMask, n: int, what: str):
@@ -284,8 +284,8 @@ def encode_image(
     _check_mask(mask, n, "patch")
 
     raw = patches[np.arange(b)[:, None], mask.visible]  # [B, v, pd], constant input
-    x = ad.linear(Tensor(raw), params["img/patch_embed/w"], params["img/patch_embed/b"])
-    x = ad.add(x, ad.take_rows(params["img/pos"], mask.visible))
+    x = ad.linear(Tensor(raw), params["img/patch_embed/w"], params["img/patch_embed/b"],
+                  residual=ad.take_rows(params["img/pos"], mask.visible))
     for i in range(img.layers):
         x = transformer_block(x, params, f"img/blk{i}", img.heads)
     x = ad.layer_norm(x, params["img/ln_f/g"], params["img/ln_f/b"])

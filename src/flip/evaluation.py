@@ -21,7 +21,7 @@ import numpy as np
 from .data import CLASS_NAMES, Dataset
 from .encoders import EncoderConfig, encode_image, encode_text, patchify
 from .errors import ConfigError
-from .masking import TAG_EVAL, complementary_views, per_sample_rng, sample_patch_mask
+from .masking import TAG_EVAL, PatchMask, complementary_views, per_sample_rng, sample_patch_mask
 from .objective import project_and_normalize
 from .tokenizer import tokenize_batch
 
@@ -112,8 +112,6 @@ def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -
 
 
 def _slice_mask(mask, lo, hi):
-    from .masking import PatchMask
-
     return PatchMask(ratio=mask.ratio, visible=mask.visible[lo:hi],
                      hidden=mask.hidden[lo:hi], n_total=mask.n_total)
 

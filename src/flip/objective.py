@@ -12,14 +12,14 @@ one fused tape node, ``autodiff.symmetric_info_nce``.
 An optional reconstruction head (small 2-layer decoder at half the
 image width) predicts per-patch normalized pixels of the hidden patches
 from the encoded visible tokens, mean-squared-error on hidden patches
-only. Like the image encoder, it never restores raster order: it runs
-on the visible tokens followed by one mask token per hidden patch, each
-carrying its decoder position embedding by original patch index.
+only, as one fused tape node, ``autodiff.mean_squared_error``. Like the
+image encoder, it never restores raster order: it runs on the visible
+tokens followed by one mask token per hidden patch, each carrying its
+decoder position embedding by original patch index.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,8 +31,6 @@ from .autodiff import Tensor
 from .encoders import DECODER_LAYERS, EncoderConfig, transformer_block
 from .errors import ConfigError
 from .masking import PatchMask
-
-logger = logging.getLogger(__name__)
 
 MAX_LOGIT_SCALE = 100.0
 PIXEL_NORM_EPS = 1e-6
@@ -94,18 +92,13 @@ def reconstruction_loss(
     token the output it would get in raster order, and no unshuffle is
     needed. Only the trailing hidden tokens go through the final norm
     and the pixel projection, and the loss compares them with per-patch
-    normalized pixels gathered in the same ``mask.hidden`` order. With
-    no hidden patches there is nothing to reconstruct: returns 0 and
-    warns.
+    normalized pixels gathered in the same ``mask.hidden`` order.
     """
     b, v, _ = encoded_visible.shape
     n = mask.n_total
-    if n == v:
-        logger.warning("reconstruction requested with mask ratio 0; nothing is hidden")
-        return Tensor(0.0)
     pos = params["dec/pos"]
-    visible = ad.add(ad.linear(encoded_visible, params["dec/embed/w"], params["dec/embed/b"]),
-                     ad.take_rows(pos, mask.visible))
+    visible = ad.linear(encoded_visible, params["dec/embed/w"], params["dec/embed/b"],
+                        residual=ad.take_rows(pos, mask.visible))
     hidden = ad.add(ad.take_rows(pos, mask.hidden), params["dec/mask_token"])
     x = ad.concat([visible, hidden], axis=1)
     for i in range(DECODER_LAYERS):
@@ -114,5 +107,4 @@ def reconstruction_loss(
     pred = ad.linear(x, params["dec/out/w"], params["dec/out/b"])
 
     targets = normalize_patches(target_patches)[np.arange(b)[:, None], mask.hidden]
-    diff = ad.sub(pred, Tensor(targets))
-    return ad.mean_all(ad.mul(diff, diff))
+    return ad.mean_squared_error(pred, targets)

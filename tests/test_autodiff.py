@@ -185,11 +185,11 @@ class TestGradients:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((3, 3))
         x1 = Tensor(data, requires_grad=True)
-        backward_of(lambda: ad.mean_all(ad.add(x1, x1)))
+        backward_of(lambda: ad.sum_all(ad.add(x1, x1)))
         x2 = Tensor(data, requires_grad=True)
-        backward_of(lambda: ad.mean_all(ad.scale(x2, 2.0)))
+        backward_of(lambda: ad.sum_all(ad.scale(x2, 2.0)))
         assert np.allclose(x1.grad, x2.grad)
-        assert np.allclose(x1.grad, 2.0 / 9.0)
+        assert np.allclose(x1.grad, 2.0)
 
     def test_scalar_loss_required(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -289,7 +289,7 @@ class TestGradientLifecycle:
         table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         with Graph() as g:
             h = ad.add(ad.gelu(ad.matmul(x, w)), ad.take_rows(table, [0, 2, 2, 4]))
-            g.backward(ad.mean_all(ad.slice_axis(ad.matmul(h, ad.transpose(h)), 1, 3, axis=1)))
+            g.backward(ad.sum_all(ad.slice_axis(ad.matmul(h, ad.transpose(h)), 1, 3, axis=1)))
         assert len(g.nodes) == 8
         assert all(node.output.grad is None for node in g.nodes)
         for leaf in (x, w, table):
@@ -345,12 +345,12 @@ class TestFusedOps:
         out = ad.add(ad.matmul(ctx, p["o/w"]), p["o/b"])
         return ad.reshape(out, (b, t, d))
 
-    def _fused(self, x, p, bias):
-        def linear(h, name):
-            return ad.linear(h, p[f"{name}/w"], p[f"{name}/b"])
+    def _fused(self, x, p, bias, residual=None):
+        def linear(h, name, residual=None):
+            return ad.linear(h, p[f"{name}/w"], p[f"{name}/b"], residual)
 
         ctx = ad.attention(linear(x, "q"), linear(x, "k"), linear(x, "v"), self.HEADS, bias)
-        return linear(ctx, "o")
+        return linear(ctx, "o", residual)
 
     def _run(self, build, d, with_bias):
         x, params, bias, weights = self._inputs(d, with_bias)
@@ -373,6 +373,20 @@ class TestFusedOps:
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
         assert nodes == 5 + 2 < ref_nodes  # 5 fused ops + the loss's mul and sum_all
+
+    @pytest.mark.parametrize("d", [8, 12])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "padding-bias"])
+    def test_residual_bit_identical_to_add(self, d, with_bias):
+        # x also feeds q/k/v, so its gradient must arrive in the same order
+        ref_out, ref_grads, ref_nodes = self._run(
+            lambda x, p, bias: ad.add(x, self._fused(x, p, bias)), d, with_bias)
+        out, grads, nodes = self._run(
+            lambda x, p, bias: self._fused(x, p, bias, residual=x), d, with_bias)
+        assert np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert nodes == ref_nodes - 1 == 7
 
     def test_symmetric_info_nce_is_one_tape_node(self):
         rng = np.random.default_rng(3)
@@ -400,6 +414,30 @@ class TestFusedOps:
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5)))
         with pytest.raises(DimensionError, match="linear"):
             ad.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.zeros(4)))
+        for shape in ((2, 4), (5,), (1, 5)):  # the residual must not broadcast
+            with pytest.raises(DimensionError, match="residual"):
+                ad.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5)),
+                          residual=Tensor(np.ones(shape)))
+
+    def test_mean_squared_error_closed_form(self):
+        rng = np.random.default_rng(5)
+        p, t = rng.standard_normal((2, 3, 4, 5))
+        with ad.verification_mode():
+            pred = Tensor(p, requires_grad=True)
+            with Graph() as g:
+                loss = ad.mean_squared_error(pred, t)
+                g.backward(loss)
+        assert len(g.nodes) == 1
+        assert np.allclose(loss.data, np.mean((p - t) ** 2), rtol=1e-14, atol=0)
+        assert np.allclose(pred.grad, 2 * (p - t) / p.size, rtol=1e-14, atol=0)
+
+    def test_mean_squared_error_rejects_misshapen_target(self):
+        pred = Tensor(np.ones((2, 3)))
+        for shape in ((3,), (2, 1), (3, 2)):
+            with pytest.raises(DimensionError, match="mean_squared_error"):
+                ad.mean_squared_error(pred, np.ones(shape))
+        with pytest.raises(DimensionError, match="mean_squared_error"):
+            ad.mean_squared_error(Tensor(np.ones((2, 0))), np.ones((2, 0)))
 
     def test_attention_rejects_bad_heads_and_shapes(self):
         q = Tensor(np.ones((2, 3, 4)))
@@ -427,7 +465,7 @@ class TestDeterminism:
         x = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
         with Graph() as g:
-            out = ad.mean_all(ad.gelu(ad.matmul(softmax_rows(x), w)))
+            out = ad.sum_all(ad.gelu(ad.matmul(softmax_rows(x), w)))
             g.backward(out)
         return out.data.copy(), x.grad.copy(), w.grad.copy()
 

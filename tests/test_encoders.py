@@ -199,7 +199,7 @@ class TestEncodeText:
             p.zero_grad()
         with ad.Graph() as g:
             out = encode_text(batch, m, params, cfg)
-            g.backward(ad.mean_all(out))
+            g.backward(ad.sum_all(out))
         assert np.abs(params["txt/tok_emb"].grad).max() > 0
 
     @staticmethod
@@ -265,7 +265,7 @@ class TestEncodeText:
         for p in params.values():
             p.zero_grad()
         with ad.Graph() as g:
-            g.backward(ad.mean_all(encode_text(batch, m, params, cfg)))
+            g.backward(ad.sum_all(encode_text(batch, m, params, cfg)))
         grad = params["txt/pos"].grad
         assert np.abs(grad[:7]).max() > 0
         assert not grad[7:].any()

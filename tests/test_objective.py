@@ -1,7 +1,6 @@
 """Loss-side tests: projection, temperature-scaled similarities,
 symmetric InfoNCE values and gradients, reconstruction."""
 
-import logging
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ from flip.encoders import (
     preset,
     transformer_block,
 )
-from flip.errors import ConfigError
+from flip.errors import ConfigError, DimensionError
 from flip.masking import full_mask, patch_masks_for_samples, sample_patch_mask
 from flip.objective import (
     LOG_MAX_LOGIT_SCALE,
@@ -181,13 +180,12 @@ def rec_setup():
 
 class TestReconstruction:
 
-    def test_zero_when_nothing_hidden(self, rec_setup, caplog):
+    def test_full_mask_has_nothing_to_reconstruct(self, rec_setup):
+        # train_step skips reconstruction when no patch is hidden
         cfg, params, patches = rec_setup
         tokens = Tensor(np.zeros((4, 16, 64), dtype=np.float32))
-        with caplog.at_level(logging.WARNING, logger="flip.objective"):
-            loss = reconstruction_loss(params, tokens, full_mask(16, 4), patches, cfg)
-        assert float(loss.data) == 0.0
-        assert any("nothing is hidden" in r.message for r in caplog.records)
+        with pytest.raises(DimensionError, match="mean_squared_error"):
+            reconstruction_loss(params, tokens, full_mask(16, 4), patches, cfg)
 
     def test_zero_prediction_gives_unit_mse(self, rec_setup):
         # per-patch normalized targets have unit variance, so predicting 0
@@ -244,11 +242,11 @@ class TestDecoderOrder:
     @pytest.mark.parametrize("ratio", [0.5, 0.75])
     def test_matches_raster_order_decoder(self, ratio, monkeypatch):
         predictions = []
-        sub = ad.sub
+        mean_squared_error = ad.mean_squared_error
 
-        def spy(a, b):  # the loss's only sub: hidden predictions minus targets
-            predictions.append(a.data)
-            return sub(a, b)
+        def spy(pred, target):  # the hidden predictions the loss compares
+            predictions.append(pred.data)
+            return mean_squared_error(pred, target)
 
         with verification_mode():
             cfg = preset("tiny")
@@ -258,7 +256,7 @@ class TestDecoderOrder:
             mask = patch_masks_for_samples(16, ratio, 0, 0, np.arange(6))
             encoded = rng.standard_normal((6, mask.n_visible, cfg.image.width))
             with monkeypatch.context() as m:
-                m.setattr(ad, "sub", spy)
+                m.setattr(ad, "mean_squared_error", spy)
                 loss = reconstruction_loss(params, Tensor(encoded), mask, patches, cfg)
             want_pred, want_loss = self.raster_order(params, encoded, mask, patches, cfg)
         [pred] = predictions

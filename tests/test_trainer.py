@@ -274,14 +274,15 @@ class TestTrainStep:
     @pytest.mark.parametrize(
         "overrides, nodes",
         [
-            (dict(mask_ratio=0.5), 88),
-            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 126),
+            (dict(mask_ratio=0.5), 75),
+            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 106),
         ],
         ids=["m50", "m75-rec"],
     )
     def test_tape_nodes_per_step(self, tiny_dataset, monkeypatch, overrides, nodes):
-        # one tape node per fused linear / attention (12 per transformer
-        # block) and one for the fused InfoNCE
+        # one tape node per fused linear / attention (10 per transformer
+        # block, the residual adds ride in linear) and one for the fused
+        # InfoNCE
         recorded = []
         backward = ad.Graph.backward
 
@@ -530,14 +531,13 @@ class TestUnmaskedTune:
             assert np.array_equal(state.params[k].data, before), k
         assert any(not np.array_equal(state.params[k].data, v) for k, v in encoder.items())
 
-    def test_no_reconstruction_when_nothing_is_hidden(self, tiny_dataset, caplog):
+    def test_no_reconstruction_when_nothing_is_hidden(self, tiny_dataset):
         state = init_train_state(desk_config(mask_ratio=0.75, rec_weight=1.0))
         bundles = []
         unmasked_tune(state, tiny_dataset, tune_samples=128,
                       on_step=lambda st, b: bundles.append(b))
         assert [b.reconstruction for b in bundles] == [None, None]
         assert all(b.total == b.contrastive for b in bundles)
-        assert "nothing is hidden" not in caplog.text
 
     def test_ratio_that_hides_no_patch_skips_reconstruction(self, tiny_dataset, caplog):
         # round(0.97 * 16) keeps all 16 patches of the tiny preset
