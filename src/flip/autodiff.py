@@ -4,10 +4,11 @@ Design: a flat execution tape. Every differentiable op appends one node
 (output, inputs, backward closure) to the active ``Graph`` while it runs,
 so the tape is already in topological order and ``Graph.backward`` just
 walks it in reverse. A gradient is ``None`` until its first contribution,
-which becomes the buffer (``_accum_owned``) or is copied into it
-(``_accum``); later ones are added with ``+=``. A node output's gradient
-is dropped once its backward rule has run; leaves keep theirs until
-``zero_grad()``.
+which becomes the buffer (it is copied only if it must broadcast); later
+ones are added with ``+=`` (``_accum``). A node output's gradient is
+dropped once its backward rule has run, so the rule owns its incoming
+``g`` and hands it, or views of it, on to its inputs without copying.
+Leaves keep their gradients until ``zero_grad()``.
 
 Two numeric modes: training computes in float32; ``verification_mode()``
 switches new tensors to float64 so finite-difference gradient checks have
@@ -158,22 +159,21 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g) -> None:
-    """Additive gradient accumulation (copy on first touch, += after)."""
-    if t.grad is None:
-        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)
-    else:
+    """Add the contribution ``g`` to ``t``'s gradient.
+
+    A first contribution of ``t``'s shape and dtype becomes the buffer;
+    only one that must broadcast or cast is copied. Later ones are added
+    with ``+=``. So ``g`` passes to ``t``: it is the rule's incoming
+    gradient, a view of it, or an array the rule computed, and the rule
+    reads it no more once it is handed on. A rule never hands one array,
+    or overlapping views of one, to two inputs.
+    """
+    if t.grad is not None:
         t.grad += g
-
-
-def _accum_owned(t: Tensor, g: np.ndarray) -> None:
-    """``_accum`` for a gradient the backward rule has just allocated: on
-    first touch ``g`` becomes the buffer instead of being copied. ``g``
-    must have ``t``'s shape and dtype, and must never be the incoming
-    gradient or a view of it (``add`` hands one ``g`` to both inputs)."""
-    if t.grad is None:
+    elif isinstance(g, np.ndarray) and g.shape == t.data.shape and g.dtype == t.data.dtype:
         t.grad = g
     else:
-        t.grad += g
+        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -226,15 +226,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> T
     out = Tensor(out2.reshape(shape))
 
     def backward(g):
-        if residual is not None and residual.requires_grad:
-            _accum(residual, g)
         g2 = g.reshape(-1, d_out)
         if b.requires_grad:
-            _accum_owned(b, g2.sum(axis=0))
+            _accum(b, g2.sum(axis=0))
         if x.requires_grad:
-            _accum_owned(x, (g2 @ w.data.T).reshape(x.shape))
+            _accum(x, (g2 @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            _accum_owned(w, x2.T @ g2)
+            _accum(w, x2.T @ g2)
+        if residual is not None and residual.requires_grad:
+            _accum(residual, g)  # last: g2 is a view of g
 
     return _record(out, (x, w, b) if residual is None else (x, w, b, residual), backward)
 
@@ -246,10 +246,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g):
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.shape)
+            _accum(b, gb.copy() if gb is g and a.requires_grad else gb)  # a takes g
         if a.requires_grad:
             _accum(a, g)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -367,7 +368,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accum_owned(x, _gelu_backward(x.data, e, g))
+            _accum(x, _gelu_backward(x.data, e, g))
 
     return _record(out, (x,), backward)
 
@@ -402,9 +403,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         g2 = g.reshape(-1, d)
         gx = g2 * xhat
         if gain.requires_grad:
-            _accum_owned(gain, gx.sum(axis=0))
+            _accum(gain, gx.sum(axis=0))
         if bias.requires_grad:
-            _accum_owned(bias, g2.sum(axis=0))
+            _accum(bias, g2.sum(axis=0))
         if x.requires_grad:
             # mean(gh) and mean(gh * xhat) with gh = g * gain
             mean_gain = (gain.data / d)[:, None]
@@ -415,7 +416,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             gh -= m1
             gh -= gx
             gh *= inv
-            _accum_owned(x, gh.reshape(x.shape))
+            _accum(x, gh.reshape(x.shape))
 
     return _record(out, (x, gain, bias), backward)
 
@@ -472,11 +473,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: Tensor | None =
         gh = np.ascontiguousarray(g.reshape(b, t, heads, dh).transpose(0, 2, 1, 3))
         ds = _softmax_backward(gh @ vh.swapaxes(-1, -2), s) * c
         if v.requires_grad:
-            _accum_owned(v, merge(s.swapaxes(-1, -2) @ gh))
+            _accum(v, merge(s.swapaxes(-1, -2) @ gh))
         if q.requires_grad:
-            _accum_owned(q, merge(ds @ kh))
+            _accum(q, merge(ds @ kh))
         if k.requires_grad:
-            _accum_owned(k, merge((qh.swapaxes(-1, -2) @ ds).transpose(0, 1, 3, 2)))
+            _accum(k, merge((qh.swapaxes(-1, -2) @ ds).transpose(0, 1, 3, 2)))
 
     return _record(out, (q, k, v), backward)
 
@@ -520,7 +521,7 @@ def symmetric_info_nce(image_emb: Tensor, text_emb: Tensor, logit_scale: Tensor,
         d += gm * probs[0]
         graw = d * s
         if image_emb.requires_grad:
-            _accum_owned(image_emb, graw @ txt)
+            _accum(image_emb, graw @ txt)
         if text_emb.requires_grad:
             _accum(text_emb, (img.T @ graw).T)
         if logit_scale.requires_grad:
@@ -551,7 +552,7 @@ def take_rows(x: Tensor, idx) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.add.at(gx, idx, g)
-            _accum_owned(x, gx)
+            _accum(x, gx)
 
     return _record(out, (x,), backward)
 
@@ -597,7 +598,7 @@ def slice_axis(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             gx[window] = g
-            _accum_owned(x, gx)
+            _accum(x, gx)
 
     return _record(out, (x,), backward)
 
@@ -608,19 +609,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     def backward(g):
         if x.requires_grad:
             _accum(x, g.reshape(x.shape))
-
-    return _record(out, (x,), backward)
-
-
-def transpose(x: Tensor, axes=None) -> Tensor:
-    """Permute axes; default reverses them (2-D transpose)."""
-    perm = tuple(axes) if axes is not None else tuple(range(x.data.ndim))[::-1]
-    inv = tuple(perm.index(i) for i in range(len(perm)))
-    out = Tensor(x.data.transpose(perm))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g.transpose(inv))
 
     return _record(out, (x,), backward)
 
@@ -652,7 +640,7 @@ def mean_squared_error(pred: Tensor, target) -> Tensor:
         if pred.requires_grad:
             gd = (g / d.size) * d
             gd += gd  # the two factors of d * d, one at a time
-            _accum_owned(pred, gd)
+            _accum(pred, gd)
 
     return _record(out, (pred,), backward)
 
@@ -811,9 +799,6 @@ def _default_checks() -> dict[str, OpCheck]:
         OpCheck("slice_axis_0", slice_axis,
                 lambda rng: ([t(rng, (5, 3))], {"start": 1, "stop": 4, "axis": 0})),
         OpCheck("reshape", reshape, lambda rng: ([t(rng, (3, 4))], {"shape": (2, 6)})),
-        OpCheck(
-            "transpose", transpose, lambda rng: ([t(rng, (2, 3, 4))], {"axes": (1, 0, 2)})
-        ),
         OpCheck(
             "mean_over_axis", mean_over_axis, lambda rng: ([t(rng, (3, 4))], {"axis": 0})
         ),

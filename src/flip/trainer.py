@@ -102,6 +102,14 @@ class TrainConfig:
         for name in ("mask_ratio", "text_mask_ratio"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("base_lr", "weight_decay", "rec_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not all(0.0 <= beta < 1.0 for beta in self.betas):
+            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
+        if not 0 <= self.seed < 2**48:  # checkpoints store the seed as a 48-bit counter
+            raise ConfigError(f"seed must be in [0, 2**48), got {self.seed}")
         if self.eval_every_samples < 0:
             raise ConfigError(f"eval_every_samples must be >= 0, got {self.eval_every_samples}")
 

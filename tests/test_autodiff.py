@@ -33,6 +33,27 @@ def softmax_rows(x: Tensor) -> Tensor:
     return ad._record(Tensor(s), (x,), backward)
 
 
+def permute(x: Tensor, perm) -> Tensor:
+    """Axis permutation: with ``softmax_rows``, the primitive head split
+    and merge of the fused ``attention`` reference."""
+    inv = tuple(np.argsort(perm))
+
+    def backward(g):
+        if x.requires_grad:
+            ad._accum(x, g.transpose(inv))
+
+    return ad._record(Tensor(x.data.transpose(perm)), (x,), backward)
+
+
+def hand_over(y: Tensor, g: np.ndarray) -> Tensor:
+    """A scalar node whose backward hands exactly the array ``g`` to ``y``."""
+
+    def backward(_):
+        ad._accum(y, g)
+
+    return ad._record(Tensor(0.0), (y,), backward)
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         a = Tensor([[1.0, 0.0], [0.0, 1.0]])
@@ -289,12 +310,52 @@ class TestGradientLifecycle:
         table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         with Graph() as g:
             h = ad.add(ad.gelu(ad.matmul(x, w)), ad.take_rows(table, [0, 2, 2, 4]))
-            g.backward(ad.sum_all(ad.slice_axis(ad.matmul(h, ad.transpose(h)), 1, 3, axis=1)))
+            g.backward(ad.sum_all(ad.slice_axis(ad.matmul(h, ad.reshape(h, (3, 4))), 1, 3, axis=1)))
         assert len(g.nodes) == 8
         assert all(node.output.grad is None for node in g.nodes)
         for leaf in (x, w, table):
             assert leaf.grad is not None and leaf.grad.shape == leaf.shape
         assert np.array_equal(table.grad[[1, 3]], np.zeros((2, 3)))
+
+    @staticmethod
+    def handed(build, shape):
+        """Inputs' gradients after ``hand_over`` gives ``build``'s output a
+        known array, with a copy of that array's values."""
+        g = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
+        want = g.copy()
+        with Graph() as graph:
+            graph.backward(hand_over(build(), g))
+        return g, want
+
+    def test_linear_hands_its_gradient_to_the_residual(self):
+        rng = np.random.default_rng(0)
+        x, r = (Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True) for _ in range(2))
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        g, want = self.handed(lambda: ad.linear(x, w, b, residual=r), (2, 3, 4))
+        assert np.shares_memory(r.grad, g) and np.array_equal(r.grad, want)
+        assert np.array_equal(b.grad, want.reshape(-1, 4).sum(axis=0))
+        assert not any(np.shares_memory(t.grad, g) for t in (x, w, b))
+
+    def test_reshape_and_concat_hand_over_views(self):
+        x = Tensor(np.ones((3, 4)), requires_grad=True)
+        g, want = self.handed(lambda: ad.reshape(x, (2, 6)), (2, 6))
+        assert np.shares_memory(x.grad, g) and np.array_equal(x.grad, want.reshape(3, 4))
+        parts = [Tensor(np.ones((2, w, 3)), requires_grad=True) for w in (1, 3)]
+        g, want = self.handed(lambda: ad.concat(parts, axis=1), (2, 4, 3))
+        for part, (lo, hi) in zip(parts, [(0, 1), (1, 4)]):
+            assert np.shares_memory(part.grad, g)
+            assert np.array_equal(part.grad, want[:, lo:hi])
+
+    def test_add_gives_each_input_its_own_buffer(self):
+        a, b = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+        g, want = self.handed(lambda: ad.add(a, b), (2, 3))
+        assert a.grad is g and not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, want)
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        _, want = self.handed(lambda: ad.add(x, x), (2, 3))
+        assert np.array_equal(x.grad, 2 * want)
 
     def test_zero_grad_clears(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -334,14 +395,14 @@ class TestFusedOps:
 
         def project(name):
             rows = ad.add(ad.matmul(h2, p[f"{name}/w"]), p[f"{name}/b"])
-            return ad.transpose(ad.reshape(rows, (b, t, heads, dh)), (0, 2, 1, 3))
+            return permute(ad.reshape(rows, (b, t, heads, dh)), (0, 2, 1, 3))
 
         q, k, v = project("q"), project("k"), project("v")
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        scores = ad.scale(ad.matmul(q, permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         if bias is not None:
             scores = ad.add(scores, bias)
         ctx = ad.matmul(softmax_rows(scores), v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * t, d))
+        ctx = ad.reshape(permute(ctx, (0, 2, 1, 3)), (b * t, d))
         out = ad.add(ad.matmul(ctx, p["o/w"]), p["o/b"])
         return ad.reshape(out, (b, t, d))
 
@@ -387,6 +448,21 @@ class TestFusedOps:
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
         assert nodes == ref_nodes - 1 == 7
+
+    def test_residual_may_be_the_input(self):
+        # x's own gradient lands in g's buffer; w must read g before that
+        def run(build):
+            rng = np.random.default_rng(4)
+            x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+                       for s in ((2, 3, 4), (4, 4), (4,)))
+            weights = Tensor(rng.standard_normal((2, 3, 4)))
+            backward_of(lambda: ad.sum_all(ad.mul(build(x, w, b), weights)))
+            return [t.grad for t in (x, w, b)]
+
+        fused = run(lambda x, w, b: ad.linear(x, w, b, residual=x))
+        ref = run(lambda x, w, b: ad.add(x, ad.linear(x, w, b)))
+        for got, want in zip(fused, ref):
+            assert np.array_equal(got, want)
 
     def test_symmetric_info_nce_is_one_tape_node(self):
         rng = np.random.default_rng(3)

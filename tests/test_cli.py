@@ -152,6 +152,16 @@ class TestExitCodes:
         assert "text_mask_policy" in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_train_with_beta_of_one_writes_nothing(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        text = (workspace / "config.txt").read_text()
+        assert "betas = 0.9,0.95" in text
+        config.write_text(text.replace("betas = 0.9,0.95", "betas = 1.0,0.95"))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert "betas" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_mismatched_checkpoint_is_usage_error_and_writes_nothing(
         self, workspace, tmp_path, capsys
     ):

@@ -133,6 +133,18 @@ class TestConfig:
                     TrainConfig(**{field: bad})
         with pytest.raises(ConfigError, match="eval_every_samples"):
             TrainConfig(eval_every_samples=-64)
+        # each of these used to poison or crash a run instead of refusing it
+        for field in ("base_lr", "weight_decay", "rec_weight"):
+            for bad in (-1e-3, math.nan, math.inf):
+                with pytest.raises(ConfigError, match=field):
+                    TrainConfig(**{field: bad})
+        for bad in ((1.0, 0.95), (0.9, -0.1), (math.nan, 0.95), (0.9, math.inf)):
+            with pytest.raises(ConfigError, match="betas"):
+                TrainConfig(betas=bad)
+        for bad in (-1, 2**48):
+            with pytest.raises(ConfigError, match="seed"):
+                TrainConfig(seed=bad)
+        TrainConfig(base_lr=0.0, weight_decay=0.0, betas=(0.0, 0.0), seed=2**48 - 1)
 
     def test_file_round_trip(self, tmp_path):
         cfg = desk_config(text_mask_policy="random", text_mask_ratio=0.25,
@@ -276,8 +288,9 @@ class TestTrainStep:
         [
             (dict(mask_ratio=0.5), 75),
             (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 106),
+            (dict(mask_ratio=0.0), 75),
         ],
-        ids=["m50", "m75-rec"],
+        ids=["m50", "m75-rec", "m0"],
     )
     def test_tape_nodes_per_step(self, tiny_dataset, monkeypatch, overrides, nodes):
         # one tape node per fused linear / attention (10 per transformer
@@ -294,6 +307,23 @@ class TestTrainStep:
         state = init_train_state(desk_config(**overrides))
         first_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
         assert recorded == [nodes]
+
+    def test_backward_copies_almost_no_gradient(self, tiny_dataset, monkeypatch):
+        # backward rules hand their arrays over; only a contribution that
+        # broadcasts (at m50, the image pool's) is copied into a fresh buffer
+        copies = []
+        accum = ad._accum
+
+        def counting(t, g):
+            first = t.grad is None
+            accum(t, g)
+            if first and t.grad is not g:
+                copies.append(t.shape)
+
+        monkeypatch.setattr(ad, "_accum", counting)
+        state = init_train_state(desk_config())
+        first_step(state, tiny_dataset.images[:64], tiny_dataset.captions[:64])
+        assert len(copies) <= 2
 
 
 class TestDeterminismAndCheckpoints:
