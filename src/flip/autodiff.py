@@ -1,21 +1,32 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Design: a flat execution tape. Every differentiable op appends one node
-(output, inputs, backward closure) to the active ``Graph`` while it runs,
-so the tape is already in topological order and ``Graph.backward`` just
-walks it in reverse. A gradient is ``None`` until its first contribution,
-which becomes the buffer (it is copied only if it must broadcast); later
-ones are added with ``+=`` (``_accum``). A node output's gradient is
-dropped once its backward rule has run, so the rule owns its incoming
-``g`` and hands it, or views of it, on to its inputs without copying.
-Leaves keep their gradients until ``zero_grad()``.
+(output, inputs, backward closure) to its thread's open ``Graph`` as it
+runs, so the tape is already in topological order and ``Graph.backward``
+just walks it in reverse. A gradient is ``None`` until its first
+contribution, which becomes the buffer (it is copied only if it must
+broadcast); later ones are added with ``+=`` (``_accum``). A node
+output's gradient is dropped once its backward rule has run, so the rule
+owns its incoming ``g`` and hands it, or views of it, on to its inputs
+without copying. Leaves keep their gradients until ``zero_grad()``.
+
+Ops on another thread never land on that tape. ``Graph.branch`` runs a
+function on one worker thread, started by the first branch, under a tape
+of its own, and splices that tape onto the caller's as one contiguous
+segment when the caller takes the result. ``backward`` hands such a
+segment's reverse walk to the worker when it reaches it and walks the
+rest on the calling thread. Both threads run the same rules in the same
+order as one thread would, so the gradients are bit-identical to an
+inline call. A segment whose backward would write a gradient that an
+earlier node also reads or writes is walked inline instead.
 
 Two numeric modes: training computes in float32; ``verification_mode()``
-switches new tensors to float64 so finite-difference gradient checks have
-enough headroom. Only GELU's erf differs between them: scipy's exact erf
-in float64, a cache-blocked rational erf in float32. ``scipy.special``
-is imported by the first float64 GELU, so training, evaluation and
-checkpoint loading never load scipy through this module.
+switches new tensors, on every thread, to float64 so finite-difference
+gradient checks have enough headroom. Only GELU's erf differs between
+them: scipy's exact erf in float64, a cache-blocked rational erf in
+float32. ``scipy.special`` is imported by the first float64 GELU, so
+training, evaluation and checkpoint loading never load scipy through
+this module.
 
 The op set is deliberately small: exactly what transformer encoders and
 the contrastive / reconstruction losses need, each registered with a
@@ -33,7 +44,11 @@ replace, so results are bit-identical to it; the tape is what shrinks.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
+import os
+import queue
+import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -98,53 +113,191 @@ def parameter(data) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("output", "backward_fn")
+    __slots__ = ("output", "inputs", "backward_fn")
 
-    def __init__(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]):
+    def __init__(self, output: Tensor, inputs: Sequence[Tensor],
+                 backward_fn: Callable[[np.ndarray], None]):
         self.output = output
+        self.inputs = inputs
         self.backward_fn = backward_fn
 
 
-_active_graph: Optional["Graph"] = None
+class _Tape(threading.local):
+    graph: Optional["Graph"] = None  # the open graph of the current thread
+
+
+_tape = _Tape()
+
+
+class _Job:
+    """One call run on the worker thread."""
+
+    __slots__ = ("fn", "result", "error", "_done")
+
+    def __init__(self, fn: Callable):
+        self.fn, self.result, self.error = fn, None, None
+        self._done = threading.Lock()
+        self._done.acquire()  # released when the call has returned or raised
+
+    def run(self) -> None:
+        try:
+            self.result = self.fn()
+        except BaseException as e:  # raised again on the thread that waits
+            self.error = e
+        self._done.release()
+
+    def join(self) -> None:
+        with self._done:
+            pass
+
+    def wait(self):
+        """The call's result, or its exception raised again."""
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+_worker: Optional[threading.Thread] = None
+_jobs: queue.SimpleQueue = queue.SimpleQueue()
+_start_lock = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get().run()
+
+
+def _on_worker(fn: Callable) -> _Job:
+    """Queue ``fn()`` for the worker thread, starting it on first use."""
+    global _worker
+    with _start_lock:
+        if _worker is None:
+            _worker = threading.Thread(target=_serve, args=(_jobs,), daemon=True,
+                                       name="flip-autodiff-branch")
+            _worker.start()
+    job = _Job(fn)
+    _jobs.put(job)
+    return job
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread; its first branch starts one."""
+    global _worker, _jobs, _start_lock
+    _worker, _jobs, _start_lock = None, queue.SimpleQueue(), threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _walk(nodes: Sequence[_Node]) -> None:
+    """Run the backward rules of ``nodes`` in reverse, dropping each
+    output's gradient once its rule has consumed it."""
+    for node in reversed(nodes):
+        g = node.output.grad
+        if g is None:
+            continue
+        node.backward_fn(g)
+        node.output.grad = None
 
 
 class Graph:
     """Execution tape: topologically ordered record of executed ops.
 
-    Single-threaded per training step. Entering the context installs the
-    graph so ops record themselves; ``backward`` visits nodes in exact
-    reverse execution (= reverse topological) order.
+    Entering the context installs the graph for the current thread, so
+    the ops that thread runs record themselves; another thread's ops do
+    not. ``backward`` visits nodes in exact reverse execution (= reverse
+    topological) order, with each ``branch`` segment walked on the
+    worker thread while the calling thread walks the nodes before it.
+    Leaving the context waits for any branch whose result was not taken.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._segments: list[tuple[int, int]] = []  # spliced branch tapes, in tape order
+        self._untaken: list[_Job] = []
 
     def __enter__(self):
-        global _active_graph
-        if _active_graph is not None:
+        if _tape.graph is not None:
             raise RuntimeError("nested autodiff graphs are not supported")
-        _active_graph = self
+        _tape.graph = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _active_graph
-        _active_graph = None
+        _tape.graph = None
+        for job in self._untaken:
+            job.join()
+        self._untaken.clear()
         return False
+
+    def branch(self, fn: Callable, *args) -> Callable[[], object]:
+        """Start ``fn(*args)`` on the worker thread, recording its ops on a
+        tape of its own, and return a function that waits for its result.
+
+        The first call of that function splices the branch's nodes onto
+        this tape as one segment, after every node recorded so far, and
+        raises again whatever ``fn`` raised. ``fn`` runs beside the
+        caller, so neither may change an array that the other reads. A
+        branch whose result is never taken adds no node.
+        """
+        if threading.current_thread() is _worker:
+            raise RuntimeError("a branch cannot start another branch")
+        tape = Graph()
+
+        def run():
+            with tape:
+                return fn(*args)
+
+        job = _on_worker(run)
+        self._untaken.append(job)
+
+        def take():
+            result = job.wait()
+            if job in self._untaken:
+                self._untaken.remove(job)
+                start = len(self.nodes)
+                self.nodes += tape.nodes
+                self._segments.append((start, len(self.nodes)))
+            return result
+
+        return take
+
+    def _walks_alone(self, lo: int, hi: int) -> bool:
+        """True when the backward of ``nodes[lo:hi]`` writes no gradient
+        that a node before it reads or writes: every tracked input from
+        outside the segment is a tensor no earlier node takes or makes."""
+        inside = {node.output for node in self.nodes[lo:hi]}
+        before = {t for node in self.nodes[:lo] for t in (node.output, *node.inputs)}
+        return not any(t.requires_grad and t not in inside and t in before
+                       for node in self.nodes[lo:hi] for t in node.inputs)
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every tracked leaf's grad and
-        drop each node output's gradient once its rule has consumed it."""
+        drop each node output's gradient once its rule has consumed it.
+        A branch's error in its backward is raised here, once both
+        threads are done."""
         if loss.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
             raise ValueError("loss is not tracked; nothing to differentiate")
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            g = node.output.grad
-            if g is None:
-                continue
-            node.backward_fn(g)
-            node.output.grad = None
+        handed = []
+        try:
+            stop = len(self.nodes)
+            for lo, hi in reversed(self._segments):
+                _walk(self.nodes[hi:stop])
+                if self._walks_alone(lo, hi):
+                    handed.append(_on_worker(functools.partial(_walk, self.nodes[lo:hi])))
+                else:
+                    _walk(self.nodes[lo:hi])
+                stop = lo
+            _walk(self.nodes[:stop])
+        except BaseException:
+            for job in handed:
+                job.join()
+            raise
+        for job in handed:
+            job.wait()
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -152,9 +305,10 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 
     A node whose output never received a gradient is skipped in backward.
     """
-    if _active_graph is not None and any(t.requires_grad for t in inputs):
+    graph = _tape.graph
+    if graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _active_graph.nodes.append(_Node(out, backward_fn))
+        graph.nodes.append(_Node(out, inputs, backward_fn))
     return out
 
 

@@ -11,6 +11,12 @@ and a step reconstructs only when some patch is hidden.
 
 ``train_step`` takes a ready batch and its lr, epoch, sample indices and
 mask ratio from ``run_phase``, which tokenizes the captions once per call.
+The text tower shares nothing with the image side up to the InfoNCE,
+so a step encodes the text on the autodiff worker thread
+(``Graph.branch``) while the calling thread encodes the image, runs the
+decoder and projects the image, and the backward walks overlap the same
+way. Losses, gradients and moments are bit-identical to running it all
+on one thread.
 
 The parameters and both Adam moments share one flat float32 arena (see
 ``TrainState``), so the optimizer runs a few long cache-blocked loops per
@@ -94,6 +100,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.warmup_samples < 0:
+            raise ConfigError(f"warmup_samples must be >= 0, got {self.warmup_samples}")
         if self.total_samples < self.warmup_samples:
             raise ConfigError(
                 f"total_samples {self.total_samples} < warmup_samples {self.warmup_samples}"
@@ -350,9 +358,11 @@ def train_step(
 ) -> LossBundle:
     """One optimization step on the images and token rows of the dataset
     samples ``sample_indices``, which with ``epoch`` key the mask draws:
-    mask, encode both towers, project, InfoNCE (+ reconstruction when
-    ``rec_weight > 0`` and a patch is hidden), backward, AdamW at ``lr``,
-    clamp the logit scale. Mutates ``state`` in place; returns the losses.
+    mask; encode, reconstruct (when ``rec_weight > 0`` and a patch is
+    hidden) and project the image while a graph branch encodes the text;
+    project the text; InfoNCE; backward, with the text tower's walk again
+    beside the rest; AdamW at ``lr``; clamp the logit scale. Mutates
+    ``state`` in place; returns the losses.
     """
     cfg, enc_cfg, params = state.config, state.encoder_config, state.params
     b = images.shape[0]
@@ -370,13 +380,16 @@ def train_step(
         p.zero_grad()
     rec = None
     with ad.Graph() as graph:
+        # the image tower, the decoder and the image projection run beside
+        # the text tower, forward and backward
+        text = graph.branch(encode_text, tokens, tmask, params, enc_cfg)
         pooled, visible_tokens = encode_image(patches, pmask, params, enc_cfg)
-        txt_pooled = encode_text(tokens, tmask, params, enc_cfg)
-        image_emb = project_and_normalize(pooled, params["proj/img/w"])
-        text_emb = project_and_normalize(txt_pooled, params["proj/txt/w"])
-        total = contrastive = info_nce(image_emb, text_emb, params["logit_scale"])
         if cfg.rec_weight > 0 and pmask.hidden.size:
             rec = reconstruction_loss(params, visible_tokens, pmask, patches, enc_cfg)
+        image_emb = project_and_normalize(pooled, params["proj/img/w"])
+        text_emb = project_and_normalize(text(), params["proj/txt/w"])
+        total = contrastive = info_nce(image_emb, text_emb, params["logit_scale"])
+        if rec is not None:
             total = ad.add(contrastive, ad.scale(rec, cfg.rec_weight))
         graph.backward(total)
 

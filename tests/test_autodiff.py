@@ -3,14 +3,21 @@ accumulation, and determinism."""
 
 import contextlib
 import math
+import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from flip import autodiff as ad
+from flip import trainer
 from flip.autodiff import Graph, OpCheck, Tensor
+from flip.data import generate_dataset
 from flip.errors import DimensionError
+from flip.tokenizer import tokenize_batch
 
 
 def backward_of(build):
@@ -555,3 +562,240 @@ class TestDeterminism:
         # deliberately impossible tolerance: must report failure, not throw
         report = ad.check_gradients("matmul", tolerance=1e-18, n_seeds=1)
         assert not report.passed
+
+
+def on_thread(fn):
+    """``fn()``'s result, computed on a new thread; its exception re-raised."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = fn()
+        except BaseException as e:  # handed to the calling thread
+            out["error"] = e
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def leaves(n, seed=0, shape=(3, 3)):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(n)]
+
+
+def walked_on(x: Tensor, threads: list) -> Tensor:
+    """Identity node whose backward notes the thread that runs it."""
+
+    def backward(g):
+        threads.append(threading.current_thread())
+        ad._accum(x, g)
+
+    return ad._record(Tensor(x.data), (x,), backward)
+
+
+class Boom(Exception):
+    pass
+
+
+class TestThreads:
+    def test_an_open_graph_records_no_other_threads_ops(self):
+        a, b = leaves(2)
+        with Graph() as g:
+            out = on_thread(lambda: ad.matmul(a, b))
+            assert g.nodes == []
+            assert not out.requires_grad
+
+    def test_each_thread_opens_its_own_graph(self):
+        a, b = leaves(2)
+
+        def elsewhere():
+            with Graph() as inner:
+                ad.matmul(a, b)
+                with pytest.raises(RuntimeError, match="nested"):
+                    Graph().__enter__()
+            return len(inner.nodes)
+
+        with Graph() as g:
+            assert on_thread(elsewhere) == 1
+            ad.matmul(a, b)
+            with pytest.raises(RuntimeError, match="nested"):
+                Graph().__enter__()
+        assert len(g.nodes) == 1
+
+
+class TestBranch:
+    @staticmethod
+    def run(x, w, y, v, branched):
+        """``sum(gelu(x @ w) + y @ v)`` with ``y @ v`` in a branch or
+        inline; the tape order is the same either way."""
+        with Graph() as g:
+            side = g.branch(ad.matmul, y, v) if branched else None
+            h = ad.gelu(ad.matmul(x, w))
+            other = side() if branched else ad.matmul(y, v)
+            loss = ad.sum_all(ad.add(h, other))
+            g.backward(loss)
+        return g, loss
+
+    def test_branch_is_bit_identical_to_inline(self):
+        inline = leaves(4, seed=1)
+        branched = [Tensor(t.data.copy(), requires_grad=True) for t in inline]
+        g, loss = self.run(*branched, branched=True)
+        _, want = self.run(*inline, branched=False)
+        assert loss.data.tobytes() == want.data.tobytes()
+        for got, ref in zip(branched, inline):
+            assert got.grad.tobytes() == ref.grad.tobytes()
+        # the branch's node sits after the two recorded before its result was taken
+        assert len(g.nodes) == 5
+        assert g.nodes[2].inputs == tuple(branched[2:])
+
+    def test_disjoint_segment_walks_on_the_worker(self):
+        x, y = leaves(2)
+        main_threads, side_threads = [], []
+        with Graph() as g:
+            side = g.branch(walked_on, y, side_threads)
+            main = walked_on(x, main_threads)
+            g.backward(ad.sum_all(ad.add(main, side())))
+        assert main_threads == [threading.current_thread()]
+        assert len(side_threads) == 1 and side_threads[0] is not threading.current_thread()
+        assert np.array_equal(x.grad, np.ones((3, 3))) and np.array_equal(y.grad, np.ones((3, 3)))
+
+    def test_segment_sharing_a_tensor_with_earlier_nodes_walks_inline(self):
+        x, = leaves(1)
+        threads = []
+        with Graph() as g:
+            main = walked_on(x, threads)
+            side = g.branch(walked_on, x, threads)  # x also feeds the earlier node
+            g.backward(ad.sum_all(ad.add(main, side())))
+        assert threads == [threading.current_thread()] * 2
+        assert np.array_equal(x.grad, np.full((3, 3), 2.0))
+
+    def test_untaken_branch_is_waited_for_and_adds_no_node(self):
+        x, = leaves(1)
+        done = []
+
+        def slow():
+            time.sleep(0.2)
+            out = ad.gelu(x)
+            done.append(out)
+            return out
+
+        with Graph() as g:
+            g.branch(slow)
+        assert len(done) == 1 and done[0].requires_grad
+        assert g.nodes == []
+
+    def test_forward_error_reraises_when_the_result_is_taken(self):
+        x, = leaves(1)
+
+        def fail():
+            ad.gelu(x)
+            raise Boom("forward")
+
+        with Graph() as g:
+            side = g.branch(fail)
+            with pytest.raises(Boom, match="forward"):
+                side()
+            with pytest.raises(Boom, match="forward"):
+                side()
+        assert g.nodes == []
+
+    def test_backward_error_reraises_from_backward(self):
+        x, y = leaves(2)
+
+        def fail_later(t):
+            def backward(g):
+                raise Boom("backward")
+
+            return ad._record(Tensor(t.data), (t,), backward)
+
+        with Graph() as g:
+            side = g.branch(fail_later, y)
+            loss = ad.sum_all(ad.add(ad.gelu(x), side()))
+            with pytest.raises(Boom, match="backward"):
+                g.backward(loss)
+        assert x.grad is not None  # the calling thread finished its own walk
+        assert y.grad is None
+
+    def test_branch_on_the_worker_is_refused(self):
+        with Graph() as g:
+            with pytest.raises(RuntimeError, match="another branch"):
+                g.branch(lambda: g.branch(lambda: None)())()
+
+    def test_work_goes_on_after_a_failed_branch(self, tmp_path, monkeypatch):
+        ds = generate_dataset(64, 0, tmp_path / "d.flipds")
+        config = trainer.TrainConfig(batch_size=32, warmup_samples=32, total_samples=64)
+        tokens = tokenize_batch(ds.captions[:32], seq_len=32)
+
+        def step(state):
+            return trainer.train_step(state, ds.images[:32], tokens, epoch=0,
+                                      sample_indices=np.arange(32), lr=1e-3, mask_ratio=0.5)
+
+        def fail(*args):
+            raise Boom("text tower")
+
+        state = trainer.init_train_state(config)
+        monkeypatch.setattr(trainer, "encode_text", fail)
+        with pytest.raises(Boom):
+            step(state)
+        monkeypatch.undo()
+        with Graph() as g:  # the thread's tape was released and the worker still serves
+            x, = leaves(1)
+            g.backward(ad.sum_all(g.branch(ad.gelu, x)()))
+        assert x.grad is not None
+        fresh = trainer.init_train_state(config)
+        assert step(state) == step(fresh)
+        assert np.array_equal(state._arena, fresh._arena)
+
+    def test_forked_child_starts_its_own_worker(self):
+        x, = leaves(1)
+        with Graph() as g:  # make sure this process's worker is running
+            g.branch(ad.gelu, x)()
+
+        def child(queue):
+            with Graph() as g:
+                queue.put(float(g.branch(ad.sum_all, x)().data))
+
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=child, args=(queue,))
+        proc.start()
+        try:
+            assert queue.get(timeout=30) == float(x.data.sum(dtype=np.float32))
+        finally:
+            proc.join(timeout=30)
+            if proc.is_alive():
+                proc.kill()
+        assert proc.exitcode == 0
+
+    def test_callers_on_many_threads_share_the_worker(self):
+        # more callers than cores, each with its own graph, all branching
+        # onto the one worker; a short switch interval interleaves them
+        # often, and gradients that accumulate over the runs would show a
+        # lost or misplaced update
+        def run(seed, branched):
+            tensors = leaves(4, seed=seed, shape=(8, 8))
+            for _ in range(20):
+                self.run(*tensors, branched=branched)
+            return [t.grad for t in tensors]
+
+        results = {}
+        threads = [threading.Thread(target=lambda s=s: results.update({s: run(s, True)}))
+                   for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in range(4):
+            for got, want in zip(results[seed], run(seed, False)):
+                assert np.array_equal(got, want)

@@ -133,6 +133,8 @@ class TestConfig:
                     TrainConfig(**{field: bad})
         with pytest.raises(ConfigError, match="eval_every_samples"):
             TrainConfig(eval_every_samples=-64)
+        with pytest.raises(ConfigError, match="warmup_samples"):
+            TrainConfig(warmup_samples=-64, total_samples=640)
         # each of these used to poison or crash a run instead of refusing it
         for field in ("base_lr", "weight_decay", "rec_weight"):
             for bad in (-1e-3, math.nan, math.inf):
@@ -327,6 +329,40 @@ class TestTrainStep:
 
 
 class TestDeterminismAndCheckpoints:
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(mask_ratio=0.5), dict(mask_ratio=0.75, rec_weight=1.0)],
+        ids=["m50", "m75-rec"],
+    )
+    def test_text_branch_bit_identical_to_inline(self, tiny_dataset, monkeypatch, overrides):
+        # The inline step runs each branch on the calling thread when its
+        # result is taken, so its nodes are recorded at the same place on
+        # the tape and walked in line by the same backward.
+        def steps(state):
+            out = []
+            for lo in (0, 64, 128):
+                bundle = first_step(state, tiny_dataset.images[lo : lo + 64],
+                                    tiny_dataset.captions[lo : lo + 64])
+                out.append((bundle, {k: p.grad.copy() for k, p in state.params.items()}))
+            return out
+
+        handed = []
+        on_worker = ad._on_worker
+        monkeypatch.setattr(ad, "_on_worker", lambda fn: handed.append(fn) or on_worker(fn))
+        branched = init_train_state(desk_config(**overrides))
+        got = steps(branched)
+        assert len(handed) == 6  # each step's text forward and its backward
+        inline = init_train_state(desk_config(**overrides))
+        monkeypatch.setattr(ad.Graph, "branch", lambda graph, fn, *args: lambda: fn(*args))
+        want = steps(inline)
+        for (bundle, grads), (ref_bundle, ref_grads) in zip(got, want):
+            assert bundle == ref_bundle
+            assert bundle.reconstruction is not None or "rec_weight" not in overrides
+            assert grads.keys() == ref_grads.keys()
+            for k in grads:
+                assert np.array_equal(grads[k], ref_grads[k]), k
+        assert np.array_equal(branched._arena, inline._arena)
+
     def test_same_seed_bit_identical(self, tiny_dataset):
         def run():
             state = init_train_state(desk_config(total_samples=64 * 6))
