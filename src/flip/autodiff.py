@@ -30,15 +30,21 @@ this module.
 
 The op set is deliberately small: exactly what transformer encoders and
 the contrastive / reconstruction losses need, each registered with a
-backward rule and covered by ``check_gradients``. Four of them are
+backward rule and covered by ``check_gradients``. Five of them are
 fused, one tape node each: ``linear`` (matmul plus bias over the last
-axis, plus an optional same-shape residual), ``attention`` (head split,
-scaled QK^T, padding bias, softmax, AV and head merge),
-``symmetric_info_nce`` (clamped temperature, scaled similarities, both
-directions' log-sum-exp minus the diagonal, mean) and
-``mean_squared_error`` (difference, square, mean). They run the same
-numpy expressions in the same order as the chain of primitive ops they
-replace, so results are bit-identical to it; the tape is what shrinks.
+axis, plus an optional same-shape residual), ``mlp`` (``linear``, GELU,
+``linear`` with the residual), ``attention`` (head split, scaled QK^T,
+padding bias, softmax, AV and head merge), ``symmetric_info_nce``
+(clamped temperature, scaled similarities, both directions' log-sum-exp
+minus the diagonal, mean) and ``mean_squared_error`` (difference,
+square, mean). They run the same numpy expressions in the same order as
+the chain of primitive ops they replace, so results are bit-identical
+to it; the tape is what shrinks.
+
+Evaluation records no tape, and ``mlp`` alone uses that: without a tape
+it runs GELU in place over its hidden rows and keeps no erf array, so
+an inference forward holds one hidden-width array per block where
+training holds three.
 """
 
 from __future__ import annotations
@@ -361,36 +367,95 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
+def _affine_shape(op: str, x_shape, w: Tensor, b: Tensor, residual: Tensor | None = None):
+    """The output shape of ``x @ w + b`` over the last axis of ``x``, or a
+    ``DimensionError`` naming ``op``. ``residual`` must have exactly that
+    shape."""
+    if w.data.ndim != 2 or not x_shape or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"{op}: shapes {x_shape} x {w.shape} + {b.shape} do not fit")
+    shape = x_shape[:-1] + w.shape[1:]
+    if residual is not None and residual.shape != shape:
+        raise DimensionError(f"{op}: residual {residual.shape} does not match output {shape}")
+    return shape
+
+
+def _affine(x2: np.ndarray, w: Tensor, b: Tensor, residual: Tensor | None) -> np.ndarray:
+    """``x2 @ w + b (+ residual)`` on rows, in one fresh buffer."""
+    out2 = x2 @ w.data
+    out2 += b.data
+    if residual is not None:
+        out2 += residual.data.reshape(out2.shape)
+    return out2
+
+
+def _affine_backward(g2: np.ndarray, x2: np.ndarray, w: Tensor, b: Tensor,
+                     wants_input: bool) -> np.ndarray | None:
+    """Accumulate ``b``'s and ``w``'s gradients from ``x2 @ w + b``'s
+    output gradient ``g2`` on rows, and return the rows' own gradient if
+    ``wants_input``."""
+    if b.requires_grad:
+        _accum(b, g2.sum(axis=0))
+    g_in = g2 @ w.data.T if wants_input else None
+    if w.requires_grad:
+        _accum(w, x2.T @ g2)
+    return g_in
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x``; leading axes are kept.
     ``residual``, of exactly the output's shape, is added last into the
     same buffer (a pre-norm block's skip connection)."""
-    if (w.data.ndim != 2 or x.data.ndim == 0 or x.shape[-1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise DimensionError(f"linear: shapes {x.shape} x {w.shape} + {b.shape} do not fit")
-    d_in, d_out = w.shape
-    shape = x.shape[:-1] + (d_out,)
-    if residual is not None and residual.shape != shape:
-        raise DimensionError(f"linear: residual {residual.shape} does not match output {shape}")
-    x2 = x.data.reshape(-1, d_in)
-    out2 = x2 @ w.data
-    out2 += b.data
-    if residual is not None:
-        out2 += residual.data.reshape(-1, d_out)
-    out = Tensor(out2.reshape(shape))
+    shape = _affine_shape("linear", x.shape, w, b, residual)
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = Tensor(_affine(x2, w, b, residual).reshape(shape))
 
     def backward(g):
-        g2 = g.reshape(-1, d_out)
-        if b.requires_grad:
-            _accum(b, g2.sum(axis=0))
-        if x.requires_grad:
-            _accum(x, (g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            _accum(w, x2.T @ g2)
+        gx = _affine_backward(g.reshape(-1, w.shape[1]), x2, w, b, x.requires_grad)
+        if gx is not None:
+            _accum(x, gx.reshape(x.shape))
         if residual is not None and residual.requires_grad:
-            _accum(residual, g)  # last: g2 is a view of g
+            _accum(residual, g)  # last: the rows are a view of g
 
     return _record(out, (x, w, b) if residual is None else (x, w, b, residual), backward)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        residual: Tensor | None = None) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2, residual)``, a transformer
+    block's MLP, as one tape node.
+
+    When a tape records, it keeps the chain's arrays (the hidden rows,
+    their GELU and its erf term) and its backward frees GELU's incoming
+    gradient as soon as GELU's rule has read it, as the chain's walk
+    does. When none records, GELU overwrites the hidden rows block by
+    block and no erf array is kept, so the forward holds one
+    hidden-width array instead of three.
+    """
+    hidden = _affine_shape("mlp", x.shape, w1, b1)
+    shape = _affine_shape("mlp", hidden, w2, b2, residual)
+    inputs = (x, w1, b1, w2, b2) if residual is None else (x, w1, b1, w2, b2, residual)
+    x2 = x.data.reshape(-1, w1.shape[0])
+    h = _affine(x2, w1, b1, None)
+    if _tape.graph is not None and any(t.requires_grad for t in inputs):
+        y, e = np.empty_like(h), np.empty_like(h)
+    else:
+        y, e = h, None
+    _gelu_forward(h, y, e)
+    out = Tensor(_affine(y, w2, b2, residual).reshape(shape))
+
+    def backward(g):
+        gy = _affine_backward(g.reshape(-1, w2.shape[1]), y, w2, b2,
+                              x.requires_grad or w1.requires_grad or b1.requires_grad)
+        if residual is not None and residual.requires_grad:
+            _accum(residual, g)
+        if gy is not None:
+            gh = _gelu_backward(h, e, gy)
+            del gy
+            gx = _affine_backward(gh, x2, w1, b1, x.requires_grad)
+            if gx is not None:
+                _accum(x, gx.reshape(x.shape))
+
+    return _record(out, inputs, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -473,15 +538,19 @@ def _erf32(z: np.ndarray, out: np.ndarray, z2: np.ndarray) -> None:
     out /= z
 
 
-def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU of ``x`` and the ``erf(x / sqrt(2))`` term its gradient reuses,
-    blockwise over preallocated scratch. float32 takes the rational erf;
-    float64 (``verification_mode``) keeps scipy's exact erf."""
-    xf = x.reshape(-1)
-    out, e = np.empty_like(xf), np.empty_like(xf)
-    z, z2 = np.empty((2, min(xf.size, _BLOCK)), x.dtype)
-    for xb, eb, ob in _blocks(xf, e, out):
-        zb, z2b = z[: xb.size], z2[: xb.size]
+def _gelu_forward(x: np.ndarray, out: np.ndarray, e: np.ndarray | None) -> None:
+    """GELU of ``x`` into ``out``, which may be ``x`` itself, blockwise
+    over preallocated scratch. ``e`` receives the ``erf(x / sqrt(2))``
+    term that the gradient reuses; with ``e=None`` each block's term lives
+    in scratch only. float32 takes the rational erf; float64
+    (``verification_mode``) keeps scipy's exact erf."""
+    xf, of = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty((2 if e is not None else 3, min(xf.size, _BLOCK)), x.dtype)
+    ef = e.reshape(-1) if e is not None else None
+    for s in range(0, xf.size, _BLOCK):
+        xb, ob = xf[s : s + _BLOCK], of[s : s + _BLOCK]
+        zb, z2b = scratch[0, : xb.size], scratch[1, : xb.size]
+        eb = ef[s : s + _BLOCK] if ef is not None else scratch[2, : xb.size]
         np.multiply(xb, _INV_SQRT2, out=zb)
         if x.dtype == np.float32:
             _erf32(zb, eb, z2b)
@@ -489,10 +558,9 @@ def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             from scipy.special import erf  # loaded by gradient checks only
 
             erf(zb, out=eb)
-        np.multiply(xb, 0.5, out=ob)
+        np.multiply(xb, 0.5, out=ob)  # xb's last read: ob may be xb
         np.add(eb, 1.0, out=zb)
         ob *= zb
-    return out.reshape(x.shape), e.reshape(x.shape)
 
 
 def _gelu_backward(x: np.ndarray, e: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -517,7 +585,8 @@ def _gelu_backward(x: np.ndarray, e: np.ndarray, g: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))), with erf exact in
     float64 and within 8 ulp in float32."""
-    y, e = _gelu_forward(x.data)
+    y, e = np.empty_like(x.data), np.empty_like(x.data)
+    _gelu_forward(x.data, y, e)
     out = Tensor(y)
 
     def backward(g):
@@ -919,6 +988,12 @@ def _default_checks() -> dict[str, OpCheck]:
         OpCheck("mul", mul, lambda rng: ([t(rng, (3, 4)), t(rng, (3, 4))], {})),
         OpCheck("scale", scale, lambda rng: ([t(rng, (3, 4))], {"c": 1.7})),
         OpCheck("gelu", gelu, lambda rng: ([t(rng, (3, 4))], {})),
+        OpCheck(
+            "mlp",
+            mlp,
+            lambda rng: ([t(rng, (2, 3, 4)), t(rng, (4, 6)), t(rng, (6,)), t(rng, (6, 4)),
+                          t(rng, (4,)), t(rng, (2, 3, 4))], {}),
+        ),
         OpCheck(
             "layer_norm",
             layer_norm,

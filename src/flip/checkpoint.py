@@ -71,46 +71,53 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             f.write(arr.tobytes())
 
 
-def load_tensors(path) -> dict[str, np.ndarray]:
+def load_tensors(path, keep: tuple[str, ...] | None = None) -> dict[str, np.ndarray]:
+    """The named arrays stored at ``path``, in file order.
+
+    Every entry is parsed and checked against the file's size and
+    numpy's limits, but only those whose names start with one of the
+    ``keep`` prefixes (all of them when ``keep`` is None) are read into
+    arrays of their own; the rest are skipped unread. A damaged file is
+    a ``DataFormatError``."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
-    off = len(MAGIC)
+        size = os.fstat(f.fileno()).st_size
 
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(raw):
-            raise DataFormatError(f"{path}: truncated checkpoint")
-        vals = struct.unpack_from(fmt, raw, off)
-        off += size
-        return vals
+        def take(fmt):
+            n = struct.calcsize(fmt)
+            buf = f.read(n)
+            if len(buf) < n:
+                raise DataFormatError(f"{path}: truncated checkpoint")
+            return struct.unpack(fmt, buf)
 
-    version, count = take("<II")
-    if version != VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = take("<H")
-        try:
-            name = raw[off : off + name_len].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{path}: tensor name is not UTF-8") from e
-        off += name_len
-        (ndim,) = take("<B")
-        shape = take(f"<{ndim}I") if ndim else ()
-        n = math.prod(shape)  # Python ints: u32 dims must not wrap
-        nbytes = 4 * n
-        if off + nbytes > len(raw):
-            raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
-        try:  # an empty tensor can still claim too many or too large dims
-            arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(shape)
-        except ValueError as e:
-            raise DataFormatError(f"{path}: numpy cannot hold tensor {name!r} "
-                                  f"of shape {shape}") from e
-        tensors[name] = arr.copy()
-        off += nbytes
-    if off != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes")
+        if f.read(len(MAGIC)) != MAGIC:
+            raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
+        version, count = take("<II")
+        if version != VERSION:
+            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = take("<H")
+            try:
+                name = f.read(name_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataFormatError(f"{path}: tensor name is not UTF-8") from e
+            (ndim,) = take("<B")
+            shape = take(f"<{ndim}I") if ndim else ()
+            nbytes = 4 * math.prod(shape)  # Python ints: u32 dims must not wrap
+            if f.tell() + nbytes > size:
+                raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
+            try:  # an empty tensor can still claim too many or too large dims
+                np.broadcast_to(np.float32(0), shape)
+            except ValueError as e:
+                raise DataFormatError(f"{path}: numpy cannot hold tensor {name!r} "
+                                      f"of shape {shape}") from e
+            if keep is not None and not name.startswith(keep):
+                f.seek(nbytes, os.SEEK_CUR)
+                continue
+            arr = np.empty(shape, dtype="<f4")
+            if f.readinto(arr) != nbytes:
+                raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
+            tensors[name] = arr
+        if f.tell() != size:
+            raise DataFormatError(f"{path}: {size - f.tell()} trailing bytes")
     return tensors

@@ -240,14 +240,14 @@ def transformer_block(
     """Pre-norm block: x + attn(ln(x)); x + mlp(ln(x)). No dropout."""
     p = params
 
-    def linear(h, name, residual=None):
-        return ad.linear(h, p[f"{prefix}/{name}/w"], p[f"{prefix}/{name}/b"], residual)
+    def wb(name):  # a projection's weight and bias
+        return p[f"{prefix}/{name}/w"], p[f"{prefix}/{name}/b"]
 
     h = ad.layer_norm(x, p[f"{prefix}/ln1/g"], p[f"{prefix}/ln1/b"])
-    ctx = ad.attention(linear(h, "q"), linear(h, "k"), linear(h, "v"), heads, attn_bias)
-    x = linear(ctx, "attn_out", residual=x)
+    q, k, v = (ad.linear(h, *wb(name)) for name in ("q", "k", "v"))
+    x = ad.linear(ad.attention(q, k, v, heads, attn_bias), *wb("attn_out"), residual=x)
     h = ad.layer_norm(x, p[f"{prefix}/ln2/g"], p[f"{prefix}/ln2/b"])
-    return linear(ad.gelu(linear(h, "mlp1")), "mlp2", residual=x)
+    return ad.mlp(h, *wb("mlp1"), *wb("mlp2"), residual=x)
 
 
 def _check_mask(mask: PatchMask, n: int, what: str):

@@ -96,19 +96,18 @@ def config_hash(*parts) -> str:
 
 
 def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
-    """Normalized image embeddings, in row order, computed ``IMAGE_CHUNK``
-    images at a time, so ``patchify`` scales uint8 images to [0, 1] one
-    chunk at a time."""
-    out = []
+    """Normalized ``[n, embed_dim]`` float32 image embeddings, in row
+    order, computed ``IMAGE_CHUNK`` images at a time, so ``patchify``
+    scales uint8 images to [0, 1] one chunk at a time."""
+    out = np.empty((images.shape[0], config.embed_dim), np.float32)
     for lo in range(0, images.shape[0], IMAGE_CHUNK):
         chunk = patchify(images[lo : lo + IMAGE_CHUNK], config.image.patch_size)
         m = None
         if mask is not None:
             m = _slice_mask(mask, lo, lo + chunk.shape[0])
         pooled, _ = encode_image(chunk, m, params, config)
-        emb = project_and_normalize(pooled, params["proj/img/w"])
-        out.append(emb.data)
-    return np.concatenate(out, axis=0)
+        out[lo : lo + chunk.shape[0]] = project_and_normalize(pooled, params["proj/img/w"]).data
+    return out
 
 
 def _slice_mask(mask, lo, hi):
@@ -117,14 +116,14 @@ def _slice_mask(mask, lo, hi):
 
 
 def embed_texts(params, config: EncoderConfig, captions) -> np.ndarray:
-    """Normalized text embeddings with no masking."""
-    out = []
+    """Normalized ``[n, embed_dim]`` float32 text embeddings with no
+    masking."""
+    out = np.empty((len(captions), config.embed_dim), np.float32)
     for lo in range(0, len(captions), EVAL_BATCH):
         tokens = tokenize_batch(captions[lo : lo + EVAL_BATCH], seq_len=config.text.seq_len)
         pooled = encode_text(tokens, None, params, config)
-        emb = project_and_normalize(pooled, params["proj/txt/w"])
-        out.append(emb.data)
-    return np.concatenate(out, axis=0)
+        out[lo : lo + EVAL_BATCH] = project_and_normalize(pooled, params["proj/txt/w"]).data
+    return out
 
 
 def _renormalize(x: np.ndarray) -> np.ndarray:
@@ -236,13 +235,14 @@ def linear_probe(
             idx = perm[s * probe.batch_size : (s + 1) * probe.batch_size]
             if idx.size == 0:
                 continue
-            logits = x_tr[idx] @ w + b
+            xb = x_tr[idx]
+            logits = xb @ w + b
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
             g = (p - onehot[idx]) / idx.size
             lr = probe.lr * 0.5 * (1.0 + np.cos(np.pi * t / total))
-            w -= lr * (x_tr[idx].T @ g)
+            w -= lr * (xb.T @ g)
             b -= lr * g.sum(axis=0)
             t += 1
     pred = np.argmax(features[te].astype(np.float64) @ w + b, axis=1)

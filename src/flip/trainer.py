@@ -557,11 +557,13 @@ def _entries(tensors: dict, prefix: str, shapes, path) -> dict[str, np.ndarray]:
     return entries
 
 
-def _load_checkpoint(path) -> tuple[dict[str, np.ndarray], EncoderConfig, dict[str, Tensor]]:
-    """All stored tensors, the geometry and the parameters of a checkpoint.
-    The parameters must be exactly the stored geometry's ``param_shapes``,
-    with the decoder if the file holds one."""
-    tensors = load_tensors(path)
+def _load_checkpoint(path, keep: tuple[str, ...] | None = None
+                     ) -> tuple[dict[str, np.ndarray], EncoderConfig, dict[str, Tensor]]:
+    """The stored tensors that ``load_tensors`` keeps, the geometry and
+    the parameters of a checkpoint. The parameters must be exactly the
+    stored geometry's ``param_shapes``, with the decoder if the file
+    holds one."""
+    tensors = load_tensors(path, keep)
     vals = _meta(tensors, "geometry", 11, 1, path)
     with_decoder = any(key.startswith("param/dec/") for key in tensors)
     try:
@@ -607,8 +609,10 @@ def load_state(path, config: TrainConfig) -> TrainState:
 
 
 def load_encoder(path) -> tuple[dict[str, Tensor], EncoderConfig]:
-    """Parameters and geometry only, for evaluation."""
-    _, enc_cfg, params = _load_checkpoint(path)
+    """Parameters and geometry only, for evaluation. The Adam moments are
+    parsed and bounds-checked like every entry, but never read into
+    memory."""
+    _, enc_cfg, params = _load_checkpoint(path, keep=("meta/", "param/"))
     return params, enc_cfg
 
 

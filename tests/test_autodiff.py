@@ -7,6 +7,8 @@ import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -470,6 +472,85 @@ class TestFusedOps:
         ref = run(lambda x, w, b: ad.add(x, ad.linear(x, w, b)))
         for got, want in zip(fused, ref):
             assert np.array_equal(got, want)
+
+    @staticmethod
+    def _mlp_inputs(residual):
+        rng = np.random.default_rng(8)
+        x, w1, b1, w2, b2, r = (Tensor(rng.standard_normal(s) * 0.5, requires_grad=True)
+                                for s in ((3, 5, 4), (4, 16), (16,), (16, 4), (4,), (3, 5, 4)))
+        weights = Tensor(rng.standard_normal((3, 5, 4)))
+        return (x, w1, b1, w2, b2, {"separate": r, "input": x, "none": None}[residual]), weights
+
+    @pytest.mark.parametrize("residual", ["separate", "input", "none"])
+    def test_mlp_bit_identical_to_linear_gelu_linear(self, residual):
+        def run(build):
+            inputs, weights = self._mlp_inputs(residual)
+            with Graph() as g:
+                out = build(*inputs)
+                n_nodes = len(g.nodes)
+                g.backward(ad.sum_all(ad.mul(out, weights)))
+            leaves = dict(zip(("x", "w1", "b1", "w2", "b2", "r"), inputs))
+            return out.data, {k: t.grad for k, t in leaves.items() if t is not None}, n_nodes
+
+        def chain(x, w1, b1, w2, b2, r):
+            return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2, residual=r)
+
+        ref_out, ref_grads, ref_nodes = run(chain)
+        out, grads, nodes = run(ad.mlp)
+        assert out.dtype == np.float32 and np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert (ref_nodes, nodes) == (3, 1)
+
+    def test_mlp_without_tape_matches_and_keeps_its_inputs(self):
+        inputs, _ = self._mlp_inputs("separate")
+        before = [t.data.copy() for t in inputs]
+        with Graph() as g:
+            recorded = ad.mlp(*inputs)
+        free = ad.mlp(*inputs)
+        assert len(g.nodes) == 1 and not free.requires_grad
+        assert free.data.tobytes() == recorded.data.tobytes()
+        for t, data in zip(inputs, before):
+            assert t.data.tobytes() == data.tobytes()
+
+    def test_mlp_without_tape_holds_one_hidden_array(self):
+        # rows x width 256 is the 1 MiB hidden array of a 64-image chunk;
+        # with a tape the GELU output and its erf term are kept as well
+        rng = np.random.default_rng(9)
+        x, w1, b1, w2, b2 = (Tensor(rng.standard_normal(s), requires_grad=True)
+                             for s in ((1024, 64), (64, 256), (256,), (256, 64), (64,)))
+        hidden_bytes = 1024 * 256 * 4
+        peaks = []
+        for tape in (Graph, contextlib.nullcontext):
+            tracemalloc.start()
+            with tape():
+                out = ad.mlp(x, w1, b1, w2, b2, residual=x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            del out
+        assert peaks[1] < 2 * hidden_bytes
+        assert peaks[0] - peaks[1] > hidden_bytes
+
+    def test_mlp_backward_frees_the_gelu_output_gradient(self, monkeypatch):
+        # the chain's walk drops it before the first linear's rule runs
+        seen, alive = [], []
+        gelu_backward, accum = ad._gelu_backward, ad._accum
+
+        def spying_gelu_backward(x, e, g):
+            seen.append(weakref.ref(g))
+            return gelu_backward(x, e, g)
+
+        def spying_accum(t, g):
+            if seen:
+                alive.append(seen[0]() is not None)
+            accum(t, g)
+
+        monkeypatch.setattr(ad, "_gelu_backward", spying_gelu_backward)
+        monkeypatch.setattr(ad, "_accum", spying_accum)
+        inputs, weights = self._mlp_inputs("separate")
+        backward_of(lambda: ad.sum_all(ad.mul(ad.mlp(*inputs), weights)))
+        assert len(seen) == 1 and alive == [False] * 3  # b1, x, w1
 
     def test_symmetric_info_nce_is_one_tape_node(self):
         rng = np.random.default_rng(3)

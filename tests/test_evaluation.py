@@ -18,6 +18,7 @@ from flip.evaluation import (
     class_embeddings,
     desk_prompts,
     embed_images,
+    embed_texts,
     eval_inference_modes,
     linear_probe,
     recall_at_k,
@@ -142,15 +143,22 @@ class TestEmbedImages:
         images = np.stack([make_record(1, i)[0] for i in range(200)])
         captions = [make_record(1, i)[1] for i in range(200)]
         sizes = []
-        gelu = autodiff.gelu
+        gelu_forward = autodiff._gelu_forward
 
-        def recording_gelu(x):
-            sizes.append(x.data.size)
-            return gelu(x)
+        def recording_gelu_forward(x, out, e):
+            sizes.append(x.size)
+            return gelu_forward(x, out, e)
 
-        monkeypatch.setattr(autodiff, "gelu", recording_gelu)
+        monkeypatch.setattr(autodiff, "_gelu_forward", recording_gelu_forward)
         eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=0.5)
         assert sizes and max(sizes) <= 2**18
+
+
+    def test_zero_rows_embed_to_an_empty_matrix(self, tiny):
+        cfg, params = tiny
+        images = np.zeros((0, cfg.image.image_size, cfg.image.image_size, 3), np.uint8)
+        for emb in (embed_images(params, cfg, images), embed_texts(params, cfg, [])):
+            assert emb.shape == (0, cfg.embed_dim) and emb.dtype == np.float32
 
 
 class TestRecall:

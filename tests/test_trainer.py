@@ -6,6 +6,7 @@ import logging
 import math
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,16 +289,16 @@ class TestTrainStep:
     @pytest.mark.parametrize(
         "overrides, nodes",
         [
-            (dict(mask_ratio=0.5), 75),
-            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 106),
-            (dict(mask_ratio=0.0), 75),
+            (dict(mask_ratio=0.5), 63),
+            (dict(mask_ratio=0.75, rec_weight=1.0, text_mask_policy="random"), 90),
+            (dict(mask_ratio=0.0), 63),
         ],
         ids=["m50", "m75-rec", "m0"],
     )
     def test_tape_nodes_per_step(self, tiny_dataset, monkeypatch, overrides, nodes):
-        # one tape node per fused linear / attention (10 per transformer
-        # block, the residual adds ride in linear) and one for the fused
-        # InfoNCE
+        # one tape node per fused linear / attention / mlp (8 per
+        # transformer block, the residual adds ride in linear and mlp) and
+        # one for the fused InfoNCE
         recorded = []
         backward = ad.Graph.backward
 
@@ -435,18 +436,45 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(DataFormatError, match="truncated"):
             load_tensors(path)
 
-    @pytest.mark.parametrize("dims", [
-        (0,) * 65,  # more dimensions than numpy allows
-        (0, 2**32 - 1, 2**32 - 1),  # a size that overflows, though nothing is stored
-    ], ids=["65-dims", "huge-empty"])
-    def test_checkpoint_rejects_shapes_numpy_cannot_hold(self, tmp_path, dims):
+    @pytest.mark.parametrize("name, dims", [
+        ("param/w", (0,) * 65),  # more dimensions than numpy allows
+        ("param/w", (0, 2**32 - 1, 2**32 - 1)),  # a size that overflows, though nothing is stored
+        ("m/w", (0,) * 65),  # a moment, which load_encoder does not read
+    ], ids=["65-dims", "huge-empty", "moment-65-dims"])
+    def test_checkpoint_rejects_shapes_numpy_cannot_hold(self, tmp_path, name, dims):
         path = tmp_path / "x.ckpt"
-        save_tensors(path, {"param/w": np.zeros(0)})
+        save_tensors(path, {name: np.zeros(0)})
         path.write_bytes(path.read_bytes().replace(
-            b"param/w\x01" + struct.pack("<I", 0),
-            b"param/w" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)))
-        with pytest.raises(DataFormatError, match="numpy cannot hold"):
-            load_tensors(path)
+            name.encode() + b"\x01" + struct.pack("<I", 0),
+            name.encode() + struct.pack(f"<B{len(dims)}I", len(dims), *dims)))
+        for read in (load_tensors, load_encoder):
+            with pytest.raises(DataFormatError, match="numpy cannot hold"):
+                read(path)
+
+    def test_load_encoder_copies_no_moment(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        state = init_train_state(desk_config())
+        save_state(path, state)
+        param_bytes = sum(p.data.nbytes for p in state.params.values())
+        tracemalloc.start()
+        try:
+            params, _ = load_encoder(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p.data.nbytes for p in params.values()) == param_bytes
+        assert peak < path.stat().st_size + param_bytes  # both moments are as large
+
+    @pytest.mark.parametrize("prefix", ["m/", "v/"])
+    def test_load_encoder_refuses_a_truncated_moment(self, tmp_path, prefix):
+        path = tmp_path / "x.ckpt"
+        save_state(path, init_train_state(desk_config()))
+        raw = path.read_bytes()
+        name = f"{prefix}logit_scale"  # the last parameter: its moments end the file
+        entry = struct.pack("<H", len(name)) + name.encode() + b"\x01" + struct.pack("<I", 1)
+        path.write_bytes(raw[: raw.index(entry) + len(entry) + 2])  # 2 of its 4 data bytes
+        with pytest.raises(DataFormatError, match=f"truncated tensor data for '{name}'"):
+            load_encoder(path)
 
     def test_geometry_restored_without_config(self, tiny_dataset, tmp_path):
         state = init_train_state(desk_config(warmup_samples=0, total_samples=64))
