@@ -29,6 +29,7 @@ MAGIC = b"FLIPCKPT"
 VERSION = 1
 
 _U24 = 1 << 24
+_ZERO = np.zeros((), dtype="<f4")  # a skipped entry's shape is checked as a view of it
 
 
 def _split_u48(x: int) -> tuple[float, float]:
@@ -106,15 +107,15 @@ def load_tensors(path, keep: tuple[str, ...] | None = None) -> dict[str, np.ndar
             nbytes = 4 * math.prod(shape)  # Python ints: u32 dims must not wrap
             if f.tell() + nbytes > size:
                 raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
+            skip = keep is not None and not name.startswith(keep)
             try:  # an empty tensor can still claim too many or too large dims
-                np.broadcast_to(np.float32(0), shape)
+                arr = np.broadcast_to(_ZERO, shape) if skip else np.empty(shape, _ZERO.dtype)
             except ValueError as e:
                 raise DataFormatError(f"{path}: numpy cannot hold tensor {name!r} "
                                       f"of shape {shape}") from e
-            if keep is not None and not name.startswith(keep):
+            if skip:
                 f.seek(nbytes, os.SEEK_CUR)
                 continue
-            arr = np.empty(shape, dtype="<f4")
             if f.readinto(arr) != nbytes:
                 raise DataFormatError(f"{path}: truncated tensor data for {name!r}")
             tensors[name] = arr

@@ -153,7 +153,6 @@ class TestEmbedImages:
         eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=0.5)
         assert sizes and max(sizes) <= 2**18
 
-
     def test_zero_rows_embed_to_an_empty_matrix(self, tiny):
         cfg, params = tiny
         images = np.zeros((0, cfg.image.image_size, cfg.image.image_size, 3), np.uint8)
