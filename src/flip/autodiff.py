@@ -18,7 +18,10 @@ segment's reverse walk to the worker when it reaches it and walks the
 rest on the calling thread. Both threads run the same rules in the same
 order as one thread would, so the gradients are bit-identical to an
 inline call. A segment whose backward would write a gradient that an
-earlier node also reads or writes is walked inline instead.
+earlier node also reads or writes is walked inline instead. Both build
+on ``on_worker``, which runs any call on that worker beside the caller
+(evaluation embeds half its image chunks there) and runs it inline when
+called on the worker itself.
 
 Two numeric modes: training computes in float32; ``verification_mode()``
 switches new tensors, on every thread, to float64 so finite-difference
@@ -135,8 +138,13 @@ class _Tape(threading.local):
 _tape = _Tape()
 
 
-class _Job:
-    """One call run on the worker thread."""
+class Job:
+    """One call run on the worker thread (see ``on_worker``).
+
+    As a context manager it waits for the call when its block ends, also
+    when the block raises, and then raises again whatever the call
+    raised, unless the block's own exception is already on its way.
+    """
 
     __slots__ = ("fn", "result", "error", "_done")
 
@@ -163,6 +171,15 @@ class _Job:
             raise self.error
         return self.result
 
+    def __enter__(self) -> "Job":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.join()
+        if exc_type is None:
+            self.wait()
+        return False
+
 
 _worker: Optional[threading.Thread] = None
 _jobs: queue.SimpleQueue = queue.SimpleQueue()
@@ -174,15 +191,20 @@ def _serve(jobs: queue.SimpleQueue) -> None:
         jobs.get().run()
 
 
-def _on_worker(fn: Callable) -> _Job:
-    """Queue ``fn()`` for the worker thread, starting it on first use."""
+def on_worker(fn: Callable) -> Job:
+    """Run ``fn()`` on the one worker thread, starting it on first use,
+    beside the calling thread. Called on the worker itself, ``fn()`` runs
+    at once, since a queued job would wait behind the one calling it."""
     global _worker
+    job = Job(fn)
+    if threading.current_thread() is _worker:
+        job.run()
+        return job
     with _start_lock:
         if _worker is None:
             _worker = threading.Thread(target=_serve, args=(_jobs,), daemon=True,
                                        name="flip-autodiff-branch")
             _worker.start()
-    job = _Job(fn)
     _jobs.put(job)
     return job
 
@@ -221,7 +243,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._segments: list[tuple[int, int]] = []  # spliced branch tapes, in tape order
-        self._untaken: list[_Job] = []
+        self._untaken: list[Job] = []
 
     def __enter__(self):
         if _tape.graph is not None:
@@ -254,7 +276,7 @@ class Graph:
             with tape:
                 return fn(*args)
 
-        job = _on_worker(run)
+        job = on_worker(run)
         self._untaken.append(job)
 
         def take():
@@ -293,7 +315,7 @@ class Graph:
             for lo, hi in reversed(self._segments):
                 _walk(self.nodes[hi:stop])
                 if self._walks_alone(lo, hi):
-                    handed.append(_on_worker(functools.partial(_walk, self.nodes[lo:hi])))
+                    handed.append(on_worker(functools.partial(_walk, self.nodes[lo:hi])))
                 else:
                     _walk(self.nodes[lo:hi])
                 stop = lo

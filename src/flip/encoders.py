@@ -283,8 +283,10 @@ def encode_image(
         mask = full_mask(n, b)
     _check_mask(mask, n, "patch")
 
-    raw = patches[np.arange(b)[:, None], mask.visible]  # [B, v, pd], constant input
-    x = ad.linear(Tensor(raw), params["img/patch_embed/w"], params["img/patch_embed/b"],
+    # the visible patches [B, v, pd], a constant input; no name holds
+    # them, so without a tape they are freed once embedded
+    x = ad.linear(Tensor(patches[np.arange(b)[:, None], mask.visible]),
+                  params["img/patch_embed/w"], params["img/patch_embed/b"],
                   residual=ad.take_rows(params["img/pos"], mask.visible))
     for i in range(img.layers):
         x = transformer_block(x, params, f"img/blk{i}", img.heads)

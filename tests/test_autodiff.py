@@ -853,6 +853,41 @@ class TestBranch:
                 proc.kill()
         assert proc.exitcode == 0
 
+    def test_on_worker_runs_beside_the_caller_and_raises_its_error(self):
+        threads = []
+        with ad.on_worker(lambda: threads.append(threading.current_thread())) as job:
+            pass
+        assert job.wait() is None
+        assert len(threads) == 1 and threads[0] is not threading.current_thread()
+
+        def fail():
+            raise Boom("worker")
+
+        with pytest.raises(Boom, match="worker"):
+            with ad.on_worker(fail):
+                pass
+
+    def test_on_worker_joins_when_the_caller_raises(self):
+        started, finished = threading.Event(), []
+
+        def work():
+            started.set()
+            finished.append(np.ones(4).sum())
+
+        with pytest.raises(Boom, match="caller"):
+            with ad.on_worker(work):
+                started.wait(timeout=30)
+                raise Boom("caller")
+        assert finished == [4.0]  # joined before the caller's error left the block
+
+    def test_on_worker_called_on_the_worker_runs_inline(self):
+        # a queued job would wait behind this one: its result is not set yet
+        def outer():
+            return threading.current_thread(), ad.on_worker(threading.current_thread).result
+
+        here, inner = ad.on_worker(outer).wait()
+        assert inner is here and here is not threading.current_thread()
+
     def test_callers_on_many_threads_share_the_worker(self):
         # more callers than cores, each with its own graph, all branching
         # onto the one worker; a short switch interval interleaves them

@@ -56,6 +56,21 @@ class TestExitCodes:
                      "--task", "zero-shot"]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: raw + b"\x00", "1 trailing bytes"),
+        (lambda raw: raw[:-1], "truncated caption in record 0"),
+        (lambda raw: raw[:-100], "header claims 1 records"),
+    ], ids=["trailing", "truncated", "over-claiming"])
+    def test_eval_on_damaged_dataset_is_data_error(self, tmp_path, capsys, damage, message):
+        cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
+        save_state(tmp_path / "init.ckpt", init_train_state(cfg))
+        data = tmp_path / "bad.flipds"
+        generate_dataset(1, 0, data)
+        data.write_bytes(damage(data.read_bytes()))
+        assert main(["eval", "--ckpt", str(tmp_path / "init.ckpt"), "--data", str(data),
+                     "--task", "zero-shot"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_eval_on_wrapping_checkpoint_dims_is_data_error(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "wrap.ckpt"
         save_tensors(ckpt, {"param/w": np.zeros((2, 2))})

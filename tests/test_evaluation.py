@@ -1,6 +1,8 @@
 """Evaluation-side tests: prompts, class embeddings, classification,
 retrieval, linear probe, inference modes."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from flip.data import CLASS_NAMES, Dataset, make_record
 from flip.encoders import init_params, preset
 from flip.errors import ConfigError
 from flip import evaluation
+from flip.autodiff import Graph
 from flip.evaluation import (
     EVAL_BATCH,
     IMAGE_CHUNK,
@@ -129,10 +132,10 @@ class TestEmbedImages:
         masks = [None, sample_patch_mask(n_patches, 0.5, np.random.default_rng(6), batch_size=n),
                  *complementary_views(n_patches, 0.75, np.random.default_rng(7), batch_size=n)]
         by_chunk = {}
-        for chunk in (64, 128):
+        for chunk in (32, 64, 128):
             monkeypatch.setattr(evaluation, "IMAGE_CHUNK", chunk)
             by_chunk[chunk] = [embed_images(params, cfg, images, mask=m).tobytes() for m in masks]
-        assert by_chunk[64] == by_chunk[128]
+        assert by_chunk[32] == by_chunk[64] == by_chunk[128]
 
     def test_inference_modes_activations_stay_at_most_one_mib(self, tiny, monkeypatch):
         # the widest activation of a tiny forward is the GELU input; a
@@ -158,6 +161,75 @@ class TestEmbedImages:
         images = np.zeros((0, cfg.image.image_size, cfg.image.image_size, 3), np.uint8)
         for emb in (embed_images(params, cfg, images), embed_texts(params, cfg, [])):
             assert emb.shape == (0, cfg.embed_dim) and emb.dtype == np.float32
+
+
+class Boom(Exception):
+    pass
+
+
+class TestTwoThreads:
+    @staticmethod
+    def embed_all(params, cfg, images, mask, captions):
+        return (embed_images(params, cfg, images), embed_images(params, cfg, images, mask=mask),
+                embed_texts(params, cfg, captions))
+
+    def test_two_threads_match_a_call_run_on_the_worker(self, tiny, monkeypatch):
+        from flip.masking import sample_patch_mask
+
+        cfg, params = tiny
+        n = 3 * IMAGE_CHUNK + 5
+        size = cfg.image.image_size
+        images = np.random.default_rng(8).integers(0, 256, size=(n, size, size, 3), dtype=np.uint8)
+        mask = sample_patch_mask(cfg.image.num_patches, 0.5, np.random.default_rng(9), batch_size=n)
+        captions = [make_record(3, i)[1] for i in range(3 * EVAL_BATCH + 5)]
+        threads = []
+
+        def recording(encode):
+            def call(*args):
+                threads.append(threading.current_thread())
+                return encode(*args)
+            return call
+
+        for name in ("encode_image", "encode_text"):
+            monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
+
+        # Inside a branch every call is on the worker, which runs its own
+        # half inline; a call that queued it would wait for itself.
+        def on_the_worker():
+            with Graph() as g:
+                return g.branch(self.embed_all, params, cfg, images, mask, captions)()
+
+        want = []
+        caller = threading.Thread(target=lambda: want.extend(on_the_worker()), daemon=True)
+        caller.start()
+        caller.join(timeout=300)  # a guard only
+        assert not caller.is_alive(), "a call on the worker waited for the worker"
+        assert len(want) == 3 and len(set(threads)) == 1
+        worker = threads[0]
+        threads.clear()
+        got = self.embed_all(params, cfg, images, mask, captions)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert set(threads) == {threading.current_thread(), worker}
+
+    def test_error_on_the_worker_reaches_the_caller(self, tiny, monkeypatch):
+        cfg, params = tiny
+        size = cfg.image.image_size
+        images = np.random.default_rng(10).integers(0, 256, size=(3 * IMAGE_CHUNK, size, size, 3),
+                                                    dtype=np.uint8)
+        want = embed_images(params, cfg, images)
+        caller = threading.current_thread()
+        encode = evaluation.encode_image
+
+        def fail_on_the_worker(*args):
+            if threading.current_thread() is not caller:
+                raise Boom("chunk on the worker")
+            return encode(*args)
+
+        monkeypatch.setattr(evaluation, "encode_image", fail_on_the_worker)
+        with pytest.raises(Boom, match="chunk on the worker"):
+            embed_images(params, cfg, images)
+        monkeypatch.undo()
+        assert embed_images(params, cfg, images).tobytes() == want.tobytes()
 
 
 class TestRecall:

@@ -348,8 +348,8 @@ class TestDeterminismAndCheckpoints:
             return out
 
         handed = []
-        on_worker = ad._on_worker
-        monkeypatch.setattr(ad, "_on_worker", lambda fn: handed.append(fn) or on_worker(fn))
+        on_worker = ad.on_worker
+        monkeypatch.setattr(ad, "on_worker", lambda fn: handed.append(fn) or on_worker(fn))
         branched = init_train_state(desk_config(**overrides))
         got = steps(branched)
         assert len(handed) == 6  # each step's text forward and its backward
