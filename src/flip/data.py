@@ -13,11 +13,15 @@ width u16, channels u8, then per record the raw u8 RGB image in
 row-major order, a caption byte length u16, and the UTF-8 caption.
 ``write_dataset`` checks every caption before it writes through
 ``checkpoint.atomic_write``, so a refused write leaves the old file.
+``read_dataset`` streams: it checks the header's record count against
+the file size before it allocates, then reads each image straight into
+its row of the result, so it never holds a copy of the file.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -28,6 +32,7 @@ from .errors import ConfigError, DataFormatError
 from .masking import TAG_DATA, per_sample_rng
 
 MAGIC = b"FLIPDS01"
+_HEADER = struct.Struct("<IHHB")  # count, height, width, channels
 IMAGE_SIZE = 32
 COLORS = ("red", "green", "blue", "yellow")
 SHAPES = ("circle", "square", "triangle", "cross")
@@ -154,7 +159,7 @@ def write_dataset(path, ds: Dataset) -> None:
         raws.append(raw)
     with atomic_write(path) as f:
         f.write(MAGIC)
-        f.write(struct.pack("<IHHB", n, h, w, c))
+        f.write(_HEADER.pack(n, h, w, c))
         for img, raw in zip(ds.images, raws):
             f.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
             f.write(struct.pack("<H", len(raw)))
@@ -162,41 +167,41 @@ def write_dataset(path, ds: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
+    """Stream the records of a dataset file: each image is read straight
+    into its row of the result, so no copy of the file is ever held."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise DataFormatError(f"{path}: not a dataset file (bad magic)")
-    off = len(MAGIC)
-    try:
-        n, h, w, c = struct.unpack_from("<IHHB", raw, off)
-    except struct.error as e:
-        raise DataFormatError(f"{path}: truncated header") from e
-    off += struct.calcsize("<IHHB")
-    if n == 0:
-        raise DataFormatError(f"{path}: holds no records")
-    img_bytes = h * w * c
-    if n * (img_bytes + 2) > len(raw) - off:
-        raise DataFormatError(f"{path}: header claims {n} records of {h}x{w}x{c}, "
-                              f"but only {len(raw) - off} bytes follow")
-    images = np.empty((n, h, w, c), dtype=np.uint8)
-    captions: list[str] = []
-    for i in range(n):
-        if off + img_bytes + 2 > len(raw):
-            raise DataFormatError(f"{path}: truncated at record {i}")
-        images[i] = np.frombuffer(raw, np.uint8, img_bytes, off).reshape(h, w, c)
-        off += img_bytes
-        (cap_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        if off + cap_len > len(raw):
-            raise DataFormatError(f"{path}: truncated caption in record {i}")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(len(MAGIC) + _HEADER.size)
+        if head[: len(MAGIC)] != MAGIC:
+            raise DataFormatError(f"{path}: not a dataset file (bad magic)")
         try:
-            caption = raw[off : off + cap_len].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{path}: caption of record {i} is not UTF-8") from e
-        if not caption:
-            raise DataFormatError(f"{path}: empty caption in record {i}")
-        captions.append(caption)
-        off += cap_len
-    if off != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - off} trailing bytes")
+            n, h, w, c = _HEADER.unpack_from(head, len(MAGIC))
+        except struct.error as e:
+            raise DataFormatError(f"{path}: truncated header") from e
+        if n == 0:
+            raise DataFormatError(f"{path}: holds no records")
+        img_bytes = h * w * c
+        if n * (img_bytes + 2) > size - len(head):
+            raise DataFormatError(f"{path}: header claims {n} records of {h}x{w}x{c}, "
+                                  f"but only {size - len(head)} bytes follow")
+        images = np.empty((n, h, w, c), dtype=np.uint8)
+        captions: list[str] = []
+        for i in range(n):
+            length = f.read(2) if f.readinto(images[i]) == img_bytes else b""
+            if len(length) != 2:
+                raise DataFormatError(f"{path}: truncated at record {i}")
+            (cap_len,) = struct.unpack("<H", length)
+            raw = f.read(cap_len)
+            if len(raw) != cap_len:
+                raise DataFormatError(f"{path}: truncated caption in record {i}")
+            try:
+                caption = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataFormatError(f"{path}: caption of record {i} is not UTF-8") from e
+            if not caption:
+                raise DataFormatError(f"{path}: empty caption in record {i}")
+            captions.append(caption)
+        trailing = size - f.tell()
+        if trailing:
+            raise DataFormatError(f"{path}: {trailing} trailing bytes")
     return Dataset(images=images, captions=captions)

@@ -8,15 +8,16 @@ by cosine similarity with stable index order on ties. The linear probe
 trains a plain multinomial logistic regression on frozen full-view
 features with a cosine-decayed learning rate and no weight decay.
 
-Images are embedded on two threads: ``embed_images`` runs its even
-32-image chunks on the calling thread and its odd ones on the autodiff
-worker (``autodiff.on_worker``), 16 images per forward there, and both
-write their rows into the one output array. An image embedding does not
-depend on its chunk, so the result is bit-identical to a one-thread
-run. ``embed_texts`` stays on the calling thread at ``EVAL_BATCH``
-captions per chunk: a text embedding depends on its chunk, and a
-128-caption chunk on the worker adds a second text working set to the
-process's peak RSS.
+Evaluation embeds on two threads. ``embed_images`` and ``embed_texts``
+run their even chunks on the calling thread and their odd ones on the
+autodiff worker (``autodiff.on_worker``), and both threads write their
+rows into the one output array. Images go ``IMAGE_CHUNK`` = 32 at a time,
+so the two threads hold 64 images in flight, no more than one 64-image
+chunk on one thread did. An image embedding does not depend on its
+chunk, so the result is bit-identical to a one-thread run. Captions stay
+at ``EVAL_BATCH`` = 128 per chunk, because a text embedding can depend
+on the longest caption in its chunk: a smaller chunk would change the
+bits, while the thread a chunk runs on changes none.
 """
 
 from __future__ import annotations
@@ -41,19 +42,15 @@ from .tokenizer import tokenize_batch
 # batch (see ``encode_text``), so a different text chunk would change
 # the embeddings; at 128 the 112 desk class prompts share one batch.
 EVAL_BATCH = 128
-# Images per image forward on the calling thread. An image embedding
-# does not depend on the rest of its chunk. At 32 a full-view ``tiny``
-# chunk peaks at a 512 KiB MLP activation ([512, 256] float32). At 128
-# that activation was 2 MiB, which glibc maps afresh for every op, at
-# about 78k minor page faults per ``eval_inference_modes`` call on 1024
-# images.
+# Images per image forward. An image embedding does not depend on the
+# rest of its chunk. ``embed_images`` runs every other chunk on the
+# autodiff worker, so the two threads together hold at most 64 images
+# in flight, the training batch, and a 64-image call runs one chunk on
+# each core. At 32 a full-view ``tiny`` chunk peaks at a 512 KiB MLP
+# activation ([512, 256] float32). At 128 that activation would be
+# 2 MiB, which glibc maps afresh for every op, at about 78k minor page
+# faults per ``eval_inference_modes`` call on 1024 images.
 IMAGE_CHUNK = 32
-# Images per image forward on the autodiff worker, which takes every
-# other ``IMAGE_CHUNK`` chunk in two halves. The worker allocates from a
-# malloc arena of its own, which cannot reuse the calling thread's free
-# memory, so its working set adds to the process's peak RSS: at 32 the
-# bench's ``eval-suite`` peak rose 3.7-3.9 MB (+7%), at 16 2.0-2.4 MB.
-WORKER_CHUNK = 16
 
 DESK_TEMPLATES = (
     "a photo of a {}.",
@@ -113,31 +110,37 @@ def config_hash(*parts) -> str:
 # embedding extraction (no autodiff tape)
 
 
+def _alternate(n: int, size: int, embed) -> None:
+    """Call ``embed(lo, hi)`` over the ``size``-row chunks of ``range(n)``:
+    the even chunks on the calling thread, the odd ones on the autodiff
+    worker beside it. Returns once both are done and raises what either
+    raised."""
+    spans = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+    def run(part):
+        for lo, hi in part:
+            embed(lo, hi)
+
+    if len(spans) < 2:
+        run(spans)
+        return
+    with on_worker(lambda: run(spans[1::2])):
+        run(spans[::2])
+
+
 def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
     """Normalized ``[n, embed_dim]`` float32 image embeddings, in row
-    order, so ``patchify`` scales uint8 images to [0, 1] one chunk at a
-    time. The calling thread embeds the even ``IMAGE_CHUNK`` chunks and
-    the autodiff worker beside it the odd ones, ``WORKER_CHUNK`` images
-    per forward; the call returns once both are done and raises what
-    either raised."""
-    n = images.shape[0]
-    out = np.empty((n, config.embed_dim), np.float32)
+    order, ``IMAGE_CHUNK`` images per forward on two threads, so
+    ``patchify`` scales uint8 images to [0, 1] one chunk at a time."""
+    out = np.empty((images.shape[0], config.embed_dim), np.float32)
 
-    def run(spans):
-        for lo, hi in spans:
-            chunk = patchify(images[lo:hi], config.image.patch_size)
-            m = None if mask is None else _slice_mask(mask, lo, hi)
-            pooled, _ = encode_image(chunk, m, params, config)
-            out[lo:hi] = project_and_normalize(pooled, params["proj/img/w"]).data
+    def embed(lo, hi):
+        chunk = patchify(images[lo:hi], config.image.patch_size)
+        m = None if mask is None else _slice_mask(mask, lo, hi)
+        pooled, _ = encode_image(chunk, m, params, config)
+        out[lo:hi] = project_and_normalize(pooled, params["proj/img/w"]).data
 
-    chunks = [(lo, min(lo + IMAGE_CHUNK, n)) for lo in range(0, n, IMAGE_CHUNK)]
-    if len(chunks) < 2:
-        run(chunks)
-        return out
-    odd = [(s, min(s + WORKER_CHUNK, hi)) for lo, hi in chunks[1::2]
-           for s in range(lo, hi, WORKER_CHUNK)]
-    with on_worker(lambda: run(odd)):
-        run(chunks[::2])
+    _alternate(images.shape[0], IMAGE_CHUNK, embed)
     return out
 
 
@@ -148,12 +151,15 @@ def _slice_mask(mask, lo, hi):
 
 def embed_texts(params, config: EncoderConfig, captions) -> np.ndarray:
     """Normalized ``[n, embed_dim]`` float32 text embeddings with no
-    masking, ``EVAL_BATCH`` captions at a time on the calling thread."""
+    masking, ``EVAL_BATCH`` captions per forward on two threads."""
     out = np.empty((len(captions), config.embed_dim), np.float32)
-    for lo in range(0, len(captions), EVAL_BATCH):
-        tokens = tokenize_batch(captions[lo : lo + EVAL_BATCH], seq_len=config.text.seq_len)
+
+    def embed(lo, hi):
+        tokens = tokenize_batch(captions[lo:hi], seq_len=config.text.seq_len)
         pooled = encode_text(tokens, None, params, config)
-        out[lo : lo + EVAL_BATCH] = project_and_normalize(pooled, params["proj/txt/w"]).data
+        out[lo:hi] = project_and_normalize(pooled, params["proj/txt/w"]).data
+
+    _alternate(len(captions), EVAL_BATCH, embed)
     return out
 
 

@@ -166,3 +166,19 @@ class TestContainer:
         path.write_bytes(MAGIC + struct.pack("<IHHB", *header) + b"\x00" * 3074)
         with pytest.raises(DataFormatError, match="header claims"):
             read_dataset(path)
+
+    def test_reader_holds_no_copy_of_the_file(self, tmp_path):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(1024, 32, 32, 3), dtype=np.uint8)
+        path = tmp_path / "x.flipds"
+        write_dataset(path, Dataset(images=images, captions=[f"a red circle {i}" for i in range(1024)]))
+        tracemalloc.start()
+        try:
+            loaded = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.images, images)
+        assert peak < images.nbytes + 2**20  # the file is 3.1 MB; no copy of it is kept
