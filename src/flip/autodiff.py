@@ -20,8 +20,8 @@ order as one thread would, so the gradients are bit-identical to an
 inline call. A segment whose backward would write a gradient that an
 earlier node also reads or writes is walked inline instead. Both build
 on ``on_worker``, which runs any call on that worker beside the caller
-(evaluation embeds half its image chunks there) and runs it inline when
-called on the worker itself.
+(evaluation embeds every other image or caption chunk there) and runs
+it inline when called on the worker itself.
 
 Two numeric modes: training computes in float32; ``verification_mode()``
 switches new tensors, on every thread, to float64 so finite-difference
