@@ -33,7 +33,7 @@ from .evaluation import (
 from .flops import FlopReport, count_flops
 from .masking import PatchMask, complementary_views, sample_patch_mask, sample_text_mask
 from .objective import LossBundle, info_nce, project_and_normalize
-from .tokenizer import TokenizedBatch, Vocab, load_vocab, tokenize, tokenize_batch
+from .tokenizer import TokenizedBatch, Vocab, tokenize, tokenize_batch
 from .trainer import (
     TrainConfig,
     TrainState,

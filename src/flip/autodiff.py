@@ -11,17 +11,20 @@ owns its incoming ``g`` and hands it, or views of it, on to its inputs
 without copying. Leaves keep their gradients until ``zero_grad()``.
 
 Ops on another thread never land on that tape. ``Graph.branch`` runs a
-function on one worker thread, started by the first branch, under a tape
-of its own, and splices that tape onto the caller's as one contiguous
-segment when the caller takes the result. ``backward`` hands such a
-segment's reverse walk to the worker when it reaches it and walks the
-rest on the calling thread. Both threads run the same rules in the same
+function on one worker thread, started by the first call handed to it,
+under a tape of its own, and splices that tape onto the caller's as one
+contiguous segment when the caller takes the result. ``backward`` hands
+such a segment's reverse walk to the worker when it reaches it and walks
+the rest on the calling thread. Both threads run the same rules in the same
 order as one thread would, so the gradients are bit-identical to an
 inline call. A segment whose backward would write a gradient that an
 earlier node also reads or writes is walked inline instead. Both build
-on ``on_worker``, which runs any call on that worker beside the caller
-(evaluation embeds every other image or caption chunk there) and runs
-it inline when called on the worker itself.
+on ``on_worker``, which submits any call to that worker, a one-thread
+``concurrent.futures`` executor, beside the caller (evaluation embeds
+every other image or caption chunk there) and runs it inline when called
+on the worker itself. Every graph, walk and evaluation call waits for
+its futures, so the worker is idle when the interpreter exits and joins
+it.
 
 Two numeric modes: training computes in float32; ``verification_mode()``
 switches new tensors, on every thread, to float64 so finite-difference
@@ -53,12 +56,11 @@ training holds three.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
-import queue
 import threading
 import zlib
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -133,88 +135,41 @@ class _Node:
 
 class _Tape(threading.local):
     graph: Optional["Graph"] = None  # the open graph of the current thread
+    on_worker = False  # set on the worker thread by its executor
 
 
 _tape = _Tape()
 
 
-class Job:
-    """One call run on the worker thread (see ``on_worker``).
-
-    As a context manager it waits for the call when its block ends, also
-    when the block raises, and then raises again whatever the call
-    raised, unless the block's own exception is already on its way.
-    """
-
-    __slots__ = ("fn", "result", "error", "_done")
-
-    def __init__(self, fn: Callable):
-        self.fn, self.result, self.error = fn, None, None
-        self._done = threading.Lock()
-        self._done.acquire()  # released when the call has returned or raised
-
-    def run(self) -> None:
-        try:
-            self.result = self.fn()
-        except BaseException as e:  # raised again on the thread that waits
-            self.error = e
-        self._done.release()
-
-    def join(self) -> None:
-        with self._done:
-            pass
-
-    def wait(self):
-        """The call's result, or its exception raised again."""
-        self.join()
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-    def __enter__(self) -> "Job":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.join()
-        if exc_type is None:
-            self.wait()
-        return False
-
-
-_worker: Optional[threading.Thread] = None
-_jobs: queue.SimpleQueue = queue.SimpleQueue()
-_start_lock = threading.Lock()
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        jobs.get().run()
-
-
-def on_worker(fn: Callable) -> Job:
-    """Run ``fn()`` on the one worker thread, starting it on first use,
-    beside the calling thread. Called on the worker itself, ``fn()`` runs
-    at once, since a queued job would wait behind the one calling it."""
-    global _worker
-    job = Job(fn)
-    if threading.current_thread() is _worker:
-        job.run()
-        return job
-    with _start_lock:
-        if _worker is None:
-            _worker = threading.Thread(target=_serve, args=(_jobs,), daemon=True,
-                                       name="flip-autodiff-branch")
-            _worker.start()
-    _jobs.put(job)
-    return job
+def _mark_worker() -> None:
+    _tape.on_worker = True
 
 
 def _forget_worker() -> None:
-    """A forked child has no worker thread; its first branch starts one."""
-    global _worker, _jobs, _start_lock
-    _worker, _jobs, _start_lock = None, queue.SimpleQueue(), threading.Lock()
+    """Build a fresh executor, whose thread starts at its first submit. A
+    forked child needs one, since the parent's would never start a thread
+    there."""
+    global _executor
+    _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flip-autodiff-branch",
+                                   initializer=_mark_worker)
 
 
+def on_worker(fn: Callable, *args) -> Future:
+    """Run ``fn(*args)`` on the one worker thread, beside the calling
+    thread, and return its ``Future``. Called on the worker itself,
+    ``fn(*args)`` runs at once into a completed ``Future``, since a queued
+    call would wait behind the one calling it."""
+    if not _tape.on_worker:
+        return _executor.submit(fn, *args)
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except BaseException as e:  # raised again by result()
+        done.set_exception(e)
+    return done
+
+
+_forget_worker()
 os.register_at_fork(after_in_child=_forget_worker)
 
 
@@ -243,7 +198,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._segments: list[tuple[int, int]] = []  # spliced branch tapes, in tape order
-        self._untaken: list[Job] = []
+        self._untaken: list[Future] = []
 
     def __enter__(self):
         if _tape.graph is not None:
@@ -253,8 +208,7 @@ class Graph:
 
     def __exit__(self, exc_type, exc, tb):
         _tape.graph = None
-        for job in self._untaken:
-            job.join()
+        wait(self._untaken)
         self._untaken.clear()
         return False
 
@@ -268,7 +222,7 @@ class Graph:
         caller, so neither may change an array that the other reads. A
         branch whose result is never taken adds no node.
         """
-        if threading.current_thread() is _worker:
+        if _tape.on_worker:
             raise RuntimeError("a branch cannot start another branch")
         tape = Graph()
 
@@ -280,7 +234,7 @@ class Graph:
         self._untaken.append(job)
 
         def take():
-            result = job.wait()
+            result = job.result()
             if job in self._untaken:
                 self._untaken.remove(job)
                 start = len(self.nodes)
@@ -315,17 +269,15 @@ class Graph:
             for lo, hi in reversed(self._segments):
                 _walk(self.nodes[hi:stop])
                 if self._walks_alone(lo, hi):
-                    handed.append(on_worker(functools.partial(_walk, self.nodes[lo:hi])))
+                    handed.append(on_worker(_walk, self.nodes[lo:hi]))
                 else:
                     _walk(self.nodes[lo:hi])
                 stop = lo
             _walk(self.nodes[:stop])
-        except BaseException:
-            for job in handed:
-                job.join()
-            raise
+        finally:
+            wait(handed)
         for job in handed:
-            job.wait()
+            job.result()
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:

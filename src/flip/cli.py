@@ -14,7 +14,6 @@ from .data import generate_dataset
 from .encoders import PRESET_NAMES, preset
 from .errors import ConfigError, DataFormatError
 from .evaluation import (
-    ProbeConfig,
     check_recall_k,
     desk_prompts,
     embed_images,
@@ -133,7 +132,7 @@ def cmd_eval(args) -> int:
                              config=config_hash(args.ckpt, args.data, args.k)).to_json())
     elif args.task == "linear-probe":
         features = embed_images(params, enc_cfg, dataset.images)
-        _, value = linear_probe(features, dataset.labels, ProbeConfig())
+        _, value = linear_probe(features, dataset.labels)
         print(EvalReport(metric="linear_probe_acc", value=value, mode="full",
                          config=config_hash(args.ckpt, args.data)).to_json())
     else:

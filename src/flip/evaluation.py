@@ -11,7 +11,8 @@ features with a cosine-decayed learning rate and no weight decay.
 Evaluation embeds on two threads. ``embed_images`` and ``embed_texts``
 run their even chunks on the calling thread and their odd ones on the
 autodiff worker (``autodiff.on_worker``), and both threads write their
-rows into the one output array. Images go ``IMAGE_CHUNK`` = 32 at a time,
+rows into the one output array. The caller waits for the worker's half
+also when its own half raises. Images go ``IMAGE_CHUNK`` = 32 at a time,
 so the two threads hold 64 images in flight, no more than one 64-image
 chunk on one thread did. An image embedding does not depend on its
 chunk, so the result is bit-identical to a one-thread run. Captions stay
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,8 +126,12 @@ def _alternate(n: int, size: int, embed) -> None:
     if len(spans) < 2:
         run(spans)
         return
-    with on_worker(lambda: run(spans[1::2])):
+    half = on_worker(run, spans[1::2])
+    try:
         run(spans[::2])
+    finally:
+        wait((half,))
+    half.result()
 
 
 def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
@@ -229,17 +235,16 @@ def recall_at_k(
     return float(np.mean(hit))
 
 
-@dataclass
-class ProbeConfig:
-    lr: float = 2.0
-    epochs: int = 300
-    batch_size: int = 512
-    train_fraction: float = 0.8
-    seed: int = 0
+# The linear probe's fixed recipe.
+PROBE_LR = 2.0
+PROBE_EPOCHS = 300
+PROBE_BATCH = 512
+PROBE_TRAIN_FRACTION = 0.8
+PROBE_SEED = 0
 
 
 def linear_probe(
-    features: np.ndarray, labels: np.ndarray, probe: ProbeConfig = ProbeConfig()
+    features: np.ndarray, labels: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Multinomial logistic regression on frozen features.
 
@@ -252,24 +257,24 @@ def linear_probe(
         raise ConfigError("linear probe needs at least two classes")
     k = int(classes.max()) + 1
     n, d = features.shape
-    rng = np.random.default_rng(probe.seed)
+    rng = np.random.default_rng(PROBE_SEED)
     order = rng.permutation(n)
-    n_train = int(probe.train_fraction * n)
-    if n_train == 0 or n_train == n:
-        raise ConfigError(f"degenerate train fraction {probe.train_fraction}")
+    n_train = int(PROBE_TRAIN_FRACTION * n)
+    if n_train == 0:
+        raise ConfigError(f"{n} samples leave no train split")
     tr, te = order[:n_train], order[n_train:]
 
     w = np.zeros((d, k), dtype=np.float64)
     b = np.zeros(k, dtype=np.float64)
     x_tr, y_tr = features[tr].astype(np.float64), labels[tr]
     onehot = np.eye(k)[y_tr]
-    steps_per_epoch = max(1, n_train // probe.batch_size)
-    total = probe.epochs * steps_per_epoch
+    steps_per_epoch = max(1, n_train // PROBE_BATCH)
+    total = PROBE_EPOCHS * steps_per_epoch
     t = 0
-    for epoch in range(probe.epochs):
+    for epoch in range(PROBE_EPOCHS):
         perm = rng.permutation(n_train)
         for s in range(steps_per_epoch):
-            idx = perm[s * probe.batch_size : (s + 1) * probe.batch_size]
+            idx = perm[s * PROBE_BATCH : (s + 1) * PROBE_BATCH]
             if idx.size == 0:
                 continue
             xb = x_tr[idx]
@@ -278,7 +283,7 @@ def linear_probe(
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
             g = (p - onehot[idx]) / idx.size
-            lr = probe.lr * 0.5 * (1.0 + np.cos(np.pi * t / total))
+            lr = PROBE_LR * 0.5 * (1.0 + np.cos(np.pi * t / total))
             w -= lr * (xb.T @ g)
             b -= lr * g.sum(axis=0)
             t += 1

@@ -1,4 +1,4 @@
-"""Subword tokenizer over a fixed vocabulary file.
+"""Subword tokenizer over the packaged vocabulary file.
 
 Vocabulary format: UTF-8, one subword per line; the line number is the
 token id. Line 0 is reserved for padding, line 1 for unknown fragments.
@@ -51,20 +51,12 @@ class TokenizedBatch:
         return self.token_ids.shape[1]
 
 
-def load_vocab(path=None) -> Vocab:
-    """Read a vocabulary file; defaults to the packaged desk vocabulary."""
-    if path is None:
-        text = resources.files("flip").joinpath("vocab.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    tokens = tuple(line for line in text.splitlines())
-    return Vocab(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
-
-
 @functools.lru_cache(maxsize=1)
 def default_vocab() -> Vocab:
-    return load_vocab()
+    """The packaged desk vocabulary, read once."""
+    text = resources.files("flip").joinpath("vocab.txt").read_text("utf-8")
+    tokens = tuple(text.splitlines())
+    return Vocab(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
 
 
 def _word_ids(word: str, vocab: Vocab) -> list[int]:
@@ -83,9 +75,9 @@ def _word_ids(word: str, vocab: Vocab) -> list[int]:
     return ids
 
 
-def tokenize(caption: str, vocab: Vocab | None = None, seq_len: int = SEQ_LEN) -> np.ndarray:
+def tokenize(caption: str, seq_len: int = SEQ_LEN) -> np.ndarray:
     """Token ids of a caption, padded or cut to exactly ``seq_len``."""
-    vocab = vocab or default_vocab()
+    vocab = default_vocab()
     ids: list[int] = []
     for word in caption.lower().split():
         ids.extend(_word_ids(word, vocab))
@@ -96,11 +88,8 @@ def tokenize(caption: str, vocab: Vocab | None = None, seq_len: int = SEQ_LEN) -
     return np.asarray(ids, dtype=np.int64)
 
 
-def tokenize_batch(
-    captions, vocab: Vocab | None = None, seq_len: int = SEQ_LEN
-) -> TokenizedBatch:
-    vocab = vocab or default_vocab()
-    ids = np.stack([tokenize(c, vocab, seq_len) for c in captions])
+def tokenize_batch(captions, seq_len: int = SEQ_LEN) -> TokenizedBatch:
+    ids = np.stack([tokenize(c, seq_len) for c in captions])
     is_pad = ids == PAD_ID
     valid = np.where(is_pad.any(axis=1), is_pad.argmax(axis=1), seq_len).astype(np.int64)
     return TokenizedBatch(token_ids=ids, valid_lengths=valid)

@@ -418,11 +418,11 @@ def run_phase(
     schedule: TrainConfig,
     n_steps: int,
     *,
-    mask_ratio: float,
     schedule_origin: int = 0,
     on_step: Optional[Callable[[TrainState, LossBundle], None]] = None,
 ) -> TrainState:
-    """Drive train_step for n_steps with the given lr schedule and mask.
+    """Drive train_step for n_steps with the lr schedule and mask ratio
+    of ``schedule``.
 
     The dataset's captions are tokenized once per call; each step takes
     the token rows at the same shuffled indices as its images.
@@ -454,7 +454,7 @@ def run_phase(
             epoch=epoch,
             sample_indices=idx,
             lr=lr_at(phase_samples, schedule),
-            mask_ratio=mask_ratio,
+            mask_ratio=schedule.mask_ratio,
         )
         if on_step is not None:
             on_step(state, bundle)
@@ -471,9 +471,7 @@ def pretrain(
     cfg = state.config
     remaining = cfg.total_steps - state.step
     steps = remaining if n_steps is None else min(n_steps, remaining)
-    return run_phase(
-        state, dataset, cfg, steps, mask_ratio=cfg.mask_ratio, on_step=on_step
-    )
+    return run_phase(state, dataset, cfg, steps, on_step=on_step)
 
 
 def unmasked_tune(
@@ -500,11 +498,11 @@ def unmasked_tune(
         base_lr=cfg.base_lr * TUNE_LR_FACTOR,
         warmup_samples=int(TUNE_WARMUP_FRACTION * tune_samples),
         total_samples=tune_samples,
+        mask_ratio=0.0,
     )
     reset_moments(state)
     return run_phase(
-        state, dataset, schedule, steps, mask_ratio=0.0,
-        schedule_origin=state.samples_seen, on_step=on_step,
+        state, dataset, schedule, steps, schedule_origin=state.samples_seen, on_step=on_step
     )
 
 

@@ -4,11 +4,14 @@ accumulation, and determinism."""
 import contextlib
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -853,40 +856,54 @@ class TestBranch:
                 proc.kill()
         assert proc.exitcode == 0
 
+    def test_fresh_process_exits_after_branch_and_embed(self):
+        # the worker is not a daemon thread: interpreter exit joins it,
+        # which works only if nothing leaves it busy
+        script = "\n".join([
+            "import threading",
+            "import numpy as np",
+            "from flip import autodiff as ad",
+            "from flip.encoders import init_params, preset",
+            "from flip.evaluation import IMAGE_CHUNK, embed_images",
+            "x = ad.parameter(np.ones(3))",
+            "with ad.Graph() as g:",
+            "    total = g.branch(ad.sum_all, x)()",
+            "cfg = preset('tiny')",
+            "size = cfg.image.image_size",
+            "images = np.zeros((2 * IMAGE_CHUNK, size, size, 3), np.uint8)",
+            "embed_images(init_params(cfg, seed=0), cfg, images)",
+            "print(float(total.data), sorted(t.name for t in threading.enumerate()))",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(ad.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60)  # a guard only
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["3.0", "['MainThread',", "'flip-autodiff-branch_0']"]
+
     def test_on_worker_runs_beside_the_caller_and_raises_its_error(self):
         threads = []
-        with ad.on_worker(lambda: threads.append(threading.current_thread())) as job:
-            pass
-        assert job.wait() is None
+        job = ad.on_worker(lambda: threads.append(threading.current_thread()))
+        assert job.result(timeout=30) is None  # a guard only
         assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
         def fail():
             raise Boom("worker")
 
+        job = ad.on_worker(fail)
+        assert isinstance(job.exception(timeout=30), Boom)
         with pytest.raises(Boom, match="worker"):
-            with ad.on_worker(fail):
-                pass
-
-    def test_on_worker_joins_when_the_caller_raises(self):
-        started, finished = threading.Event(), []
-
-        def work():
-            started.set()
-            finished.append(np.ones(4).sum())
-
-        with pytest.raises(Boom, match="caller"):
-            with ad.on_worker(work):
-                started.wait(timeout=30)
-                raise Boom("caller")
-        assert finished == [4.0]  # joined before the caller's error left the block
+            job.result()
 
     def test_on_worker_called_on_the_worker_runs_inline(self):
-        # a queued job would wait behind this one: its result is not set yet
+        # a queued call would wait behind this one, so it would not be done
         def outer():
-            return threading.current_thread(), ad.on_worker(threading.current_thread).result
+            inner = ad.on_worker(threading.current_thread)
+            failed = ad.on_worker(lambda: 1 / 0)
+            return threading.current_thread(), inner.result(timeout=0), failed.exception(timeout=0)
 
-        here, inner = ad.on_worker(outer).wait()
+        here, inner, error = ad.on_worker(outer).result(timeout=30)
         assert inner is here and here is not threading.current_thread()
+        assert isinstance(error, ZeroDivisionError)
 
     def test_callers_on_many_threads_share_the_worker(self):
         # more callers than cores, each with its own graph, all branching

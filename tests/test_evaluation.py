@@ -16,7 +16,6 @@ from flip.evaluation import (
     EVAL_BATCH,
     IMAGE_CHUNK,
     EvalReport,
-    ProbeConfig,
     PromptSet,
     class_embeddings,
     desk_prompts,
@@ -232,6 +231,31 @@ class TestTwoThreads:
         assert embed_images(params, cfg, images).tobytes() == want.tobytes()
 
 
+    def test_caller_error_waits_for_the_worker_half(self, tiny, monkeypatch):
+        cfg, params = tiny
+        size = cfg.image.image_size
+        images = np.zeros((2 * IMAGE_CHUNK, size, size, 3), np.uint8)
+        caller = threading.current_thread()
+        started, release, finished = threading.Event(), threading.Event(), []
+        encode = evaluation.encode_image
+
+        def held_or_failing(*args):
+            if threading.current_thread() is caller:
+                started.wait(timeout=30)  # a guard only
+                release.set()
+                raise Boom("chunk on the caller")
+            started.set()
+            release.wait(timeout=30)  # a guard only
+            out = encode(*args)
+            finished.append(True)
+            return out
+
+        monkeypatch.setattr(evaluation, "encode_image", held_or_failing)
+        with pytest.raises(Boom, match="chunk on the caller"):
+            embed_images(params, cfg, images)
+        assert finished == [True]  # the worker's half ended before the error left
+
+
 class TestRecall:
     def test_gallery_equals_queries(self):
         rng = np.random.default_rng(0)
@@ -313,7 +337,7 @@ class TestLinearProbe:
         labels = np.repeat([0, 1], 100)
         feats = rng.standard_normal((200, 4)) * 0.1
         feats[:, 0] += np.where(labels == 0, 2.0, -2.0)
-        _, acc = linear_probe(feats, labels, ProbeConfig(epochs=60))
+        _, acc = linear_probe(feats, labels)
         assert acc == 1.0
 
     def test_random_labels_near_chance(self):
@@ -322,7 +346,7 @@ class TestLinearProbe:
         n = 2000
         feats = rng.standard_normal((n, 6))
         labels = rng.integers(0, k, size=n)
-        _, acc = linear_probe(feats, labels, ProbeConfig(epochs=20, seed=2))
+        _, acc = linear_probe(feats, labels)
         # 3 sigma binomial band around chance on the held-out fifth
         sigma = np.sqrt(0.25 * 0.75 / (n * 0.2))
         assert abs(acc - 1.0 / k) < 3 * sigma + 0.02

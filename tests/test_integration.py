@@ -227,18 +227,3 @@ class TestScipyLoadsOnDemand:
         out = subprocess.run([sys.executable, "-c", script, str(ckpt)], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines() == ["False False", "False False", "True False"]
-
-
-class TestVocabularyFile:
-    def test_custom_vocab_file(self, tmp_path):
-        from flip.tokenizer import load_vocab, tokenize
-
-        path = tmp_path / "vocab.txt"
-        path.write_text("<pad>\n<unk>\nhello\nworld\n", encoding="utf-8")
-        vocab = load_vocab(path)
-        assert len(vocab) == 4
-        ids = tokenize("hello world hello", vocab)
-        assert list(ids[:3]) == [2, 3, 2]
-        assert ids[3] == 0
-        # a word with no matchable pieces maps to UNK
-        assert tokenize("xyz", vocab)[0] == 1

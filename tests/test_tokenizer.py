@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from flip.encoders import preset
+
 from flip.tokenizer import (
     PAD_ID,
     SEQ_LEN,
@@ -34,12 +36,27 @@ def test_long_caption_cut_to_32():
     assert (ids != PAD_ID).all()
 
 
+def test_packaged_vocabulary_is_the_presets():
+    vocab = default_vocab()
+    assert vocab.tokens[PAD_ID] == "<pad>" and vocab.tokens[UNK_ID] == "<unk>"
+    assert all(vocab.index[t] == i for i, t in enumerate(vocab.tokens))
+    assert len(vocab) == preset("tiny").text.vocab_size == preset("small").text.vocab_size
+
+
 def test_greedy_longest_match_splits_unknown_words():
     vocab = default_vocab()
-    ids = tokenize("reddish")
-    # "red" is in the vocabulary; the tail falls back to characters
-    assert ids[0] == vocab.index["red"]
-    assert ids[1] == vocab.index["d"]
+    # each piece is the longest prefix of the rest that the vocabulary holds
+    for word, pieces in (("reddish", ["red", "d", "is", "h"]),
+                         ("rendering", ["render", "in", "g"])):
+        ids = tokenize(word)
+        assert list(ids[: len(pieces)]) == [vocab.index[p] for p in pieces]
+        assert (ids[len(pieces):] == PAD_ID).all()
+
+
+def test_repeated_word_maps_to_the_same_ids():
+    vocab = default_vocab()
+    ids = tokenize("red circle red")
+    assert list(ids[:4]) == [vocab.index["red"], vocab.index["circle"], vocab.index["red"], PAD_ID]
 
 def test_punctuation_splits_off():
     vocab = default_vocab()
@@ -51,6 +68,8 @@ def test_punctuation_splits_off():
 def test_unmatchable_character_becomes_unk():
     ids = tokenize("éclair")  # leading non-ascii char has no vocab entry
     assert ids[0] == UNK_ID
+    # a word with no matchable piece is one UNK per character
+    assert list(tokenize("ééé")[:4]) == [UNK_ID, UNK_ID, UNK_ID, PAD_ID]
 
 
 def test_case_folding():

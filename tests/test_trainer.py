@@ -349,7 +349,8 @@ class TestDeterminismAndCheckpoints:
 
         handed = []
         on_worker = ad.on_worker
-        monkeypatch.setattr(ad, "on_worker", lambda fn: handed.append(fn) or on_worker(fn))
+        monkeypatch.setattr(ad, "on_worker",
+                            lambda fn, *args: handed.append(fn) or on_worker(fn, *args))
         branched = init_train_state(desk_config(**overrides))
         got = steps(branched)
         assert len(handed) == 6  # each step's text forward and its backward
