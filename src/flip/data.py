@@ -15,12 +15,16 @@ row-major order, a caption byte length u16, and the UTF-8 caption.
 ``checkpoint.atomic_write``, so a refused write leaves the old file.
 ``read_dataset`` streams: it checks the header's record count against
 the file size before it allocates, then reads each image straight into
-its row of the result, so it never holds a copy of the file.
+its row of the result, so it never holds a copy of the file. The images
+live in an anonymous mapping of their own, not the malloc heap, so a
+dataset read again and again returns its pages when dropped and leaves
+no hole that later arrays fragment around.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -184,7 +188,8 @@ def read_dataset(path) -> Dataset:
         if n * (img_bytes + 2) > size - len(head):
             raise DataFormatError(f"{path}: header claims {n} records of {h}x{w}x{c}, "
                                   f"but only {size - len(head)} bytes follow")
-        images = np.empty((n, h, w, c), dtype=np.uint8)
+        mapping = mmap.mmap(-1, max(1, n * img_bytes))  # a mapping cannot be empty
+        images = np.frombuffer(mapping, np.uint8, n * img_bytes).reshape(n, h, w, c)
         captions: list[str] = []
         for i in range(n):
             length = f.read(2) if f.readinto(images[i]) == img_bytes else b""

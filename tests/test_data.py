@@ -182,3 +182,20 @@ class TestContainer:
             tracemalloc.stop()
         assert np.array_equal(loaded.images, images)
         assert peak < images.nbytes + 2**20  # the file is 3.1 MB; no copy of it is kept
+
+    def test_zero_size_images_read_back(self, tmp_path):
+        # the images' own mapping cannot be empty, but a 0x0 image can be
+        path = tmp_path / "x.flipds"
+        write_dataset(path, Dataset(images=np.zeros((2, 0, 0, 3), dtype=np.uint8),
+                                    captions=["a red circle", "a blue cross"]))
+        loaded = read_dataset(path)
+        assert loaded.images.shape == (2, 0, 0, 3)
+        assert loaded.captions == ["a red circle", "a blue cross"]
+
+    def test_read_images_are_writable(self, tmp_path):
+        path = tmp_path / "x.flipds"
+        write_dataset(path, Dataset(images=np.zeros((1, 2, 2, 3), dtype=np.uint8),
+                                    captions=["a red circle"]))
+        loaded = read_dataset(path)
+        loaded.images[0, 0, 0] = 255
+        assert loaded.images.sum() == 3 * 255
