@@ -230,7 +230,6 @@ class TestTwoThreads:
         monkeypatch.undo()
         assert embed_images(params, cfg, images).tobytes() == want.tobytes()
 
-
     def test_caller_error_waits_for_the_worker_half(self, tiny, monkeypatch):
         cfg, params = tiny
         size = cfg.image.image_size

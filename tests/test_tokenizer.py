@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from flip.encoders import preset
-
 from flip.tokenizer import (
     PAD_ID,
     SEQ_LEN,
