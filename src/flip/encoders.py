@@ -250,10 +250,14 @@ def transformer_block(
     return ad.mlp(h, *wb("mlp1"), *wb("mlp2"), residual=x)
 
 
-def _check_mask(mask: PatchMask, n: int, what: str):
-    if mask.n_total != n or (mask.visible.size and mask.visible.max() >= n):
+def check_mask(mask: PatchMask, b: int, n: int, what: str):
+    """Refuse a mask without one row per sample of a batch of ``b``, or
+    whose rows do not pick at most ``n`` of the encoder's ``n`` positions."""
+    if mask.batch_size != b:
+        raise DimensionError(f"{what} mask holds {mask.batch_size} rows for a batch of {b}")
+    if mask.n_total != n or mask.n_visible > n or (mask.visible.size and mask.visible.max() >= n):
         raise DimensionError(
-            f"{what} mask covers {mask.n_total} positions, encoder expects {n}"
+            f"{what} mask shows {mask.n_visible} of {mask.n_total} positions, encoder has {n}"
         )
 
 
@@ -281,12 +285,15 @@ def encode_image(
         )
     if mask is None:
         mask = full_mask(n, b)
-    _check_mask(mask, n, "patch")
+    check_mask(mask, b, n, "patch")
 
-    # the visible patches [B, v, pd], a constant input; no name holds
-    # them, so without a tape they are freed once embedded
-    x = ad.linear(Tensor(patches[np.arange(b)[:, None], mask.visible]),
-                  params["img/patch_embed/w"], params["img/patch_embed/b"],
+    # the visible patches [B, v, pd], a constant input. The full array is
+    # dropped once they are gathered, and no name holds them, so a caller
+    # that keeps no name for its patches (``embed_images``) frees both
+    # before the blocks run, when there is no tape
+    x = patches[np.arange(b)[:, None], mask.visible]
+    del patches
+    x = ad.linear(Tensor(x), params["img/patch_embed/w"], params["img/patch_embed/b"],
                   residual=ad.take_rows(params["img/pos"], mask.visible))
     for i in range(img.layers):
         x = transformer_block(x, params, f"img/blk{i}", img.heads)
@@ -320,7 +327,7 @@ def encode_text(
         raise DimensionError(f"sequence length {length} != configured {txt.seq_len}")
     if mask is None:
         mask = full_mask(length, b)
-    _check_mask(mask, length, "token")
+    check_mask(mask, b, length, "token")
 
     is_valid = mask.visible < batch.valid_lengths[:, None]  # [B, v]
     # run to the last column valid in some row; all visible ones if none is

@@ -8,17 +8,22 @@ by cosine similarity with stable index order on ties. The linear probe
 trains a plain multinomial logistic regression on frozen full-view
 features with a cosine-decayed learning rate and no weight decay.
 
-Evaluation embeds on two threads. ``embed_images`` and ``embed_texts``
-run their even chunks on the calling thread and their odd ones on the
-autodiff worker (``autodiff.on_worker``), and both threads write their
-rows into the one output array. The caller waits for the worker's half
-also when its own half raises. Images go ``IMAGE_CHUNK`` = 32 at a time,
-so the two threads hold 64 images in flight, no more than one 64-image
-chunk on one thread did. An image embedding does not depend on its
-chunk, so the result is bit-identical to a one-thread run. Captions stay
-at ``EVAL_BATCH`` = 128 per chunk, because a text embedding can depend
-on the longest caption in its chunk: a smaller chunk would change the
-bits, while the thread a chunk runs on changes none.
+Evaluation runs on two threads. ``embed_images``, ``embed_texts`` and
+``recall_at_k`` run their even chunks on the calling thread and their
+odd ones on the autodiff worker (``autodiff.on_worker``), and both
+threads write their rows into the one output array. The caller waits
+for the worker's half also when its own half raises. An image forward
+holds the rows of ``IMAGE_CHUNK`` = 32 full views: 32 intact images, 64
+at mask ratio 0.5, 128 at 0.75, since the tower runs only on the visible
+patches. So the two threads hold no more rows in flight than one
+64-image full-view chunk on one thread did, and a masked view pays the
+per-forward overhead once per 32 full views' rows, not once per 32
+images. An image embedding does not depend on its chunk, so the result
+is bit-identical to a one-thread run at any chunk size. Captions stay at
+``EVAL_BATCH`` = 128 per chunk, because a text embedding can depend on
+the longest caption in its chunk: a smaller chunk would change the bits,
+while the thread a chunk runs on changes none. A retrieval block's hits
+depend on neither its block nor its thread.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .autodiff import on_worker
 from .data import CLASS_NAMES, Dataset
-from .encoders import EncoderConfig, encode_image, encode_text, patchify
+from .encoders import EncoderConfig, check_mask, encode_image, encode_text, patchify
 from .errors import ConfigError
 from .masking import TAG_EVAL, PatchMask, complementary_views, per_sample_rng, sample_patch_mask
 from .objective import project_and_normalize
@@ -44,12 +49,15 @@ from .tokenizer import tokenize_batch
 # batch (see ``encode_text``), so a different text chunk would change
 # the embeddings; at 128 the 112 desk class prompts share one batch.
 EVAL_BATCH = 128
-# Images per image forward. An image embedding does not depend on the
-# rest of its chunk. ``embed_images`` runs every other chunk on the
-# autodiff worker, so the two threads together hold at most 64 images
-# in flight, the training batch, and a 64-image call runs one chunk on
-# each core. At 32 a full-view ``tiny`` chunk peaks at a 512 KiB MLP
-# activation ([512, 256] float32). At 128 that activation would be
+# Full views per image forward: ``embed_images`` forwards
+# ``IMAGE_CHUNK * num_patches // n_visible`` images at a time, so every
+# chunk holds at most ``IMAGE_CHUNK * num_patches`` visible rows. An image
+# embedding does not depend on the rest of its chunk. ``embed_images``
+# runs every other chunk on the autodiff worker, so the two threads
+# together hold at most 64 full views' rows in flight, the training
+# batch's, and a 64-image full-view call runs one chunk on each core. At
+# 32 a ``tiny`` chunk peaks at a 512 KiB MLP activation ([512, 256]
+# float32), masked or not. At 128 full views that activation would be
 # 2 MiB, which glibc maps afresh for every op, at about 78k minor page
 # faults per ``eval_inference_modes`` call on 1024 images.
 IMAGE_CHUNK = 32
@@ -112,8 +120,8 @@ def config_hash(*parts) -> str:
 # embedding extraction (no autodiff tape)
 
 
-def _alternate(n: int, size: int, embed) -> None:
-    """Call ``embed(lo, hi)`` over the ``size``-row chunks of ``range(n)``:
+def _alternate(n: int, size: int, work) -> None:
+    """Call ``work(lo, hi)`` over the ``size``-row chunks of ``range(n)``:
     the even chunks on the calling thread, the odd ones on the autodiff
     worker beside it. Returns once both are done and raises what either
     raised."""
@@ -121,7 +129,7 @@ def _alternate(n: int, size: int, embed) -> None:
 
     def run(part):
         for lo, hi in part:
-            embed(lo, hi)
+            work(lo, hi)
 
     if len(spans) < 2:
         run(spans)
@@ -136,17 +144,25 @@ def _alternate(n: int, size: int, embed) -> None:
 
 def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -> np.ndarray:
     """Normalized ``[n, embed_dim]`` float32 image embeddings, in row
-    order, ``IMAGE_CHUNK`` images per forward on two threads, so
-    ``patchify`` scales uint8 images to [0, 1] one chunk at a time."""
-    out = np.empty((images.shape[0], config.embed_dim), np.float32)
+    order, on two threads. Every forward holds ``IMAGE_CHUNK`` full
+    views' rows: ``IMAGE_CHUNK * num_patches // mask.n_visible`` images
+    (32 full-view, 64 at ratio 0.5, 128 at 0.75). ``patchify`` scales
+    uint8 images to [0, 1] one chunk at a time, and no name here holds
+    the chunk's patches, so ``encode_image`` frees them once it has
+    gathered the visible rows."""
+    n, n_patches = images.shape[0], config.image.num_patches
+    size = IMAGE_CHUNK
+    if mask is not None:
+        check_mask(mask, n, n_patches, "patch")
+        size = IMAGE_CHUNK * n_patches // max(mask.n_visible, 1)
+    out = np.empty((n, config.embed_dim), np.float32)
 
     def embed(lo, hi):
-        chunk = patchify(images[lo:hi], config.image.patch_size)
         m = None if mask is None else _slice_mask(mask, lo, hi)
-        pooled, _ = encode_image(chunk, m, params, config)
+        pooled, _ = encode_image(patchify(images[lo:hi], config.image.patch_size), m, params, config)
         out[lo:hi] = project_and_normalize(pooled, params["proj/img/w"]).data
 
-    _alternate(images.shape[0], IMAGE_CHUNK, embed)
+    _alternate(n, size, embed)
     return out
 
 
@@ -214,7 +230,9 @@ def recall_at_k(
 
     Nothing is sorted: a query hits when fewer than k gallery items rank
     above its match, counting those with a higher score and those with
-    an equal score and a lower index."""
+    an equal score and a lower index. The queries go ``EVAL_BATCH`` per
+    block on two threads, as the embeds do; a query's hit depends on
+    neither its block nor its thread."""
     m = gallery_emb.shape[0]
     check_recall_k(k, m)
     n = query_emb.shape[0]
@@ -223,15 +241,18 @@ def recall_at_k(
         raise ConfigError(f"ground truth indices must lie in [0, {m})")
     index = np.arange(m)
     hit = np.empty(n, dtype=bool)
+
     # a block of queries at a time, so the similarity matrix never exists whole
-    for lo in range(0, n, EVAL_BATCH):
-        t = truth[lo : lo + EVAL_BATCH]
-        sims = query_emb[lo : lo + EVAL_BATCH] @ gallery_emb.T
+    def rank(lo, hi):
+        t = truth[lo:hi]
+        sims = query_emb[lo:hi] @ gallery_emb.T
         np.fmax(sims, -np.inf, out=sims)  # NaN ranks below every score
         match = sims[np.arange(t.size), t][:, None]
         above = (np.count_nonzero(sims > match, axis=1)
                  + np.count_nonzero((sims == match) & (index < t[:, None]), axis=1))
-        hit[lo : lo + EVAL_BATCH] = above < k
+        hit[lo:hi] = above < k
+
+    _alternate(n, EVAL_BATCH, rank)
     return float(np.mean(hit))
 
 

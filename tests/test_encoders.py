@@ -152,6 +152,14 @@ class TestEncodeImage:
         with pytest.raises(DimensionError):
             encode_image(patches, bad, params, cfg)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_mask_batch_mismatch(self, tiny, rows):
+        cfg, params = tiny
+        patches = patchify(rand_images(8), 8)
+        m = sample_patch_mask(16, 0.5, np.random.default_rng(1), batch_size=rows)
+        with pytest.raises(DimensionError, match=f"patch mask holds {rows} rows for a batch of 8"):
+            encode_image(patches, m, params, cfg)
+
     def test_wrong_patch_shape(self, tiny):
         cfg, params = tiny
         with pytest.raises(DimensionError):
@@ -166,6 +174,14 @@ class TestEncodeText:
         a = encode_text(batch, None, params, cfg)
         b = encode_text(batch, m, params, cfg)
         assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_mask_batch_mismatch(self, tiny, rows):
+        cfg, params = tiny
+        batch = tokenize_batch([f"a photo of a red circle {i}" for i in range(8)])
+        m = sample_patch_mask(32, 0.5, np.random.default_rng(1), batch_size=rows)
+        with pytest.raises(DimensionError, match=f"token mask holds {rows} rows for a batch of 8"):
+            encode_text(batch, m, params, cfg)
 
     def test_batch_order_equivariance(self, tiny):
         cfg, params = tiny

@@ -11,7 +11,7 @@ from flip.data import CLASS_NAMES, Dataset, make_record
 from flip.encoders import init_params, preset
 from flip.errors import ConfigError
 from flip import evaluation
-from flip.autodiff import Graph
+from flip.autodiff import Graph, on_worker
 from flip.evaluation import (
     EVAL_BATCH,
     IMAGE_CHUNK,
@@ -155,6 +155,39 @@ class TestEmbedImages:
         eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=0.5)
         assert sizes and max(sizes) <= 2**18
 
+    def test_masked_forwards_hold_the_rows_of_a_full_view_chunk(self, tiny, monkeypatch):
+        # 200 images: full views go 32 per forward, masked and
+        # complementary views at ratio 0.5 go 64, each with a last short one
+        from collections import Counter
+
+        cfg, params = tiny
+        n_patches = cfg.image.num_patches
+        images = np.stack([make_record(1, i)[0] for i in range(200)])
+        captions = [make_record(1, i)[1] for i in range(200)]
+        calls = []
+        encode = evaluation.encode_image
+
+        def recording(patches, mask, *args):
+            calls.append((patches.shape[0], n_patches if mask is None else mask.n_visible))
+            return encode(patches, mask, *args)
+
+        monkeypatch.setattr(evaluation, "encode_image", recording)
+        eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=0.5)
+        assert Counter(calls) == Counter({(IMAGE_CHUNK, n_patches): 6, (8, n_patches): 1,
+                                          (2 * IMAGE_CHUNK, n_patches // 2): 9, (8, n_patches // 2): 3})
+        assert max(b * v for b, v in calls) == IMAGE_CHUNK * n_patches
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_mask_batch_mismatch(self, tiny, rows):
+        from flip.errors import DimensionError
+        from flip.masking import sample_patch_mask
+
+        cfg, params = tiny
+        images = np.zeros((8, cfg.image.image_size, cfg.image.image_size, 3), np.uint8)
+        m = sample_patch_mask(cfg.image.num_patches, 0.5, np.random.default_rng(0), batch_size=rows)
+        with pytest.raises(DimensionError, match=f"patch mask holds {rows} rows for a batch of 8"):
+            embed_images(params, cfg, images, mask=m)
+
     def test_zero_rows_embed_to_an_empty_matrix(self, tiny):
         cfg, params = tiny
         images = np.zeros((0, cfg.image.image_size, cfg.image.image_size, 3), np.uint8)
@@ -253,6 +286,62 @@ class TestTwoThreads:
         with pytest.raises(Boom, match="chunk on the caller"):
             embed_images(params, cfg, images)
         assert finished == [True]  # the worker's half ended before the error left
+
+
+class TestRecallTwoThreads:
+    """``recall_at_k`` ranks its query blocks as the embeds run their
+    chunks: the even ones on the caller, the odd ones on the worker."""
+
+    @staticmethod
+    def held_queries(hook):
+        """Queries of three blocks whose ``hook`` runs as each block is sliced."""
+
+        class Rows(np.ndarray):
+            def __getitem__(self, key):
+                hook()
+                return np.asarray(self)[key]
+
+        rng = np.random.default_rng(11)
+        return rng.standard_normal((3 * EVAL_BATCH, 8)).view(Rows), rng.standard_normal((50, 8))
+
+    def test_error_on_the_worker_waits_for_the_caller_half(self):
+        caller = threading.current_thread()
+        raised, finished = threading.Event(), []
+
+        def hook():
+            if threading.current_thread() is not caller:
+                raised.set()
+                raise Boom("block on the worker")
+            raised.wait(timeout=30)  # a guard only
+            finished.append(True)
+
+        q, g = self.held_queries(hook)
+        with pytest.raises(Boom, match="block on the worker"):
+            recall_at_k(q, g, np.arange(q.shape[0]) % 50, 5)
+        assert finished == [True, True]  # both of the caller's blocks ran first
+        assert on_worker(threading.current_thread).result(timeout=30) is not caller
+        plain = np.asarray(q)
+        assert recall_at_k(plain, g, np.arange(q.shape[0]) % 50, 5) == argsort_recall(
+            plain, g, np.arange(q.shape[0]) % 50, 5)
+
+    def test_caller_error_waits_for_the_worker_half(self):
+        caller = threading.current_thread()
+        started, release, finished = threading.Event(), threading.Event(), []
+
+        def hook():
+            if threading.current_thread() is caller:
+                started.wait(timeout=30)  # a guard only
+                release.set()
+                raise Boom("block on the caller")
+            started.set()
+            release.wait(timeout=30)  # a guard only
+            finished.append(True)
+
+        q, g = self.held_queries(hook)
+        with pytest.raises(Boom, match="block on the caller"):
+            recall_at_k(q, g, np.arange(q.shape[0]) % 50, 5)
+        assert finished == [True]  # the worker's block ended before the error left
+        assert on_worker(threading.current_thread).result(timeout=30) is not caller
 
 
 class TestRecall:
