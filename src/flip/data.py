@@ -13,17 +13,12 @@ width u16, channels u8, then per record the raw u8 RGB image in
 row-major order, a caption byte length u16, and the UTF-8 caption.
 ``write_dataset`` checks every caption before it writes through
 ``checkpoint.atomic_write``, so a refused write leaves the old file.
-``generate_dataset`` writes each record through the same writer as it
-makes it and returns the file read back, so it never fills an array of
-all n images itself, and a caller that drops the result drops its
-mapping.
 ``read_dataset`` streams: it checks the header's record count against
 the file size before it allocates, then reads each image straight into
 its row of the result, so it never holds a copy of the file. The images
 live in an anonymous mapping of their own, not the malloc heap, so a
 dataset read again and again returns its pages when dropped and leaves
-no hole that later arrays fragment around. A ``Dataset`` parses its
-``labels`` and tokenizes its ``tokens`` once, on first access.
+no hole that later arrays fragment around.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ import numpy as np
 from .checkpoint import atomic_write
 from .errors import ConfigError, DataFormatError
 from .masking import TAG_DATA, per_sample_rng
-from .tokenizer import TokenizedBatch, tokenize_batch
 
 MAGIC = b"FLIPDS01"
 _HEADER = struct.Struct("<IHHB")  # count, height, width, channels
@@ -82,14 +76,6 @@ class Dataset:
         labels = np.asarray([class_of_caption(c) for c in self.captions], dtype=np.int64)
         labels.flags.writeable = False
         return labels
-
-    @functools.cached_property
-    def tokens(self) -> TokenizedBatch:
-        """Every caption's token row at ``SEQ_LEN``, the length of every
-        preset's text tower, tokenized on first access (read-only)."""
-        tokens = tokenize_batch(self.captions)
-        tokens.token_ids.flags.writeable = tokens.valid_lengths.flags.writeable = False
-        return tokens
 
 
 def class_of_caption(caption: str) -> int:
@@ -148,14 +134,16 @@ def make_record(seed: int, index: int) -> tuple[np.ndarray, str]:
 
 
 def generate_dataset(n: int, seed: int, out_path) -> Dataset:
-    """Generate n records, writing each to disk as it is made, and return
-    the file read back."""
+    """Generate n records and write them to disk."""
     if n <= 0:
         raise ConfigError(f"dataset size must be positive, got {n}")
-    records = (make_record(seed, i) for i in range(n))
-    _write(out_path, (n, IMAGE_SIZE, IMAGE_SIZE, 3),
-           ((img, caption.encode("utf-8")) for img, caption in records))
-    return read_dataset(out_path)
+    images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.uint8)
+    captions: list[str] = [""] * n
+    for i in range(n):
+        images[i], captions[i] = make_record(seed, i)
+    ds = Dataset(images=images, captions=captions)
+    write_dataset(out_path, ds)
+    return ds
 
 
 def write_dataset(path, ds: Dataset) -> None:
@@ -173,16 +161,10 @@ def write_dataset(path, ds: Dataset) -> None:
         if not 0 < len(raw) <= 0xFFFF:
             raise DataFormatError(f"caption {i} is {len(raw)} bytes; it must be 1 to 65535")
         raws.append(raw)
-    _write(path, (n, h, w, c), zip(ds.images, raws))
-
-
-def _write(path, shape, records) -> None:
-    """The header of ``shape`` (count, height, width, channels), then each
-    (image, caption bytes) record as ``records`` yields it."""
     with atomic_write(path) as f:
         f.write(MAGIC)
-        f.write(_HEADER.pack(*shape))
-        for img, raw in records:
+        f.write(_HEADER.pack(n, h, w, c))
+        for img, raw in zip(ds.images, raws):
             f.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)

@@ -18,7 +18,8 @@ at mask ratio 0.5, 128 at 0.75, since the tower runs only on the visible
 patches. So the two threads hold no more rows in flight than one
 64-image full-view chunk on one thread did, and a masked view pays the
 per-forward overhead once per 32 full views' rows, not once per 32
-images. An image embedding does not depend on its chunk, so the result
+images. Only a chunk's input patches, freed once gathered, grow with
+its images. An image embedding does not depend on its chunk, so the result
 is bit-identical to a one-thread run at any chunk size. Captions stay at
 ``EVAL_BATCH`` = 128 per chunk, because a text embedding can depend on
 the longest caption in its chunk: a smaller chunk would change the bits,
@@ -59,7 +60,10 @@ EVAL_BATCH = 128
 # 32 a ``tiny`` chunk peaks at a 512 KiB MLP activation ([512, 256]
 # float32), masked or not. At 128 full views that activation would be
 # 2 MiB, which glibc maps afresh for every op, at about 78k minor page
-# faults per ``eval_inference_modes`` call on 1024 images.
+# faults per ``eval_inference_modes`` call on 1024 images. The chunk's
+# input is not bounded this way: its float32 patches, all of them
+# before the gather, grow with the images per forward, 393 kB on
+# ``tiny`` for 32 images, 786 kB for 64 and 1.57 MB for 128.
 IMAGE_CHUNK = 32
 
 DESK_TEMPLATES = (
@@ -149,7 +153,8 @@ def embed_images(params, config: EncoderConfig, images: np.ndarray, mask=None) -
     (32 full-view, 64 at ratio 0.5, 128 at 0.75). ``patchify`` scales
     uint8 images to [0, 1] one chunk at a time, and no name here holds
     the chunk's patches, so ``encode_image`` frees them once it has
-    gathered the visible rows."""
+    gathered the visible rows; until then a masked chunk's patches take
+    1/(1 - ratio) times a full-view chunk's (see ``IMAGE_CHUNK``)."""
     n, n_patches = images.shape[0], config.image.num_patches
     size = IMAGE_CHUNK
     if mask is not None:

