@@ -7,18 +7,19 @@ v-length sequence. Positional embeddings are indexed by the original
 patch position, which also means no interpolation is needed when the
 same weights later run on full-length sequences.
 
-The text tower is a non-autoregressive transformer over fixed-length
-token sequences. Padding tokens are hidden from attention keys and from
-pooling, so up to float32 rounding an embedding depends only on the
-valid tokens and their positions. Padding is also not computed: every
-batch runs only up to the last visible column that holds a valid token
-in some row, which on sorted mask rows is the batch's longest visible
-valid prefix. That width sets the lengths of the softmax sums and of the
-pooling product, so the same caption can embed differently in the last
-bits next to a longer one (up to about 1e-7 per element on the desk
-captions). A sample with no valid visible token attends to and pools
-over every column the batch runs. Both towers end with a final layer
-norm and average pooling (no class token).
+The text tower is a non-autoregressive transformer over the tokenizer's
+fixed-length token sequences; the tokenizer's length and vocabulary set
+the rows of its position and token tables. Padding tokens are hidden
+from attention keys and from pooling, so up to float32 rounding an
+embedding depends only on the valid tokens and their positions. Padding
+is also not computed: every batch runs only up to the last visible
+column that holds a valid token in some row, which on sorted mask rows
+is the batch's longest visible valid prefix. That width sets the lengths
+of the softmax sums and of the pooling product, so the same caption can
+embed differently in the last bits next to a longer one (up to about
+1e-7 per element on the desk captions). A sample with no valid visible
+token attends to and pools over every column the batch runs. Both towers
+end with a final layer norm and average pooling (no class token).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 from .masking import PatchMask, full_mask, per_sample_rng, TAG_INIT
-from .tokenizer import TokenizedBatch, default_vocab
+from .tokenizer import SEQ_LEN, TokenizedBatch, default_vocab
 
 ATTN_MASK_VALUE = -1e9
 INIT_STD = 0.02
@@ -65,8 +66,6 @@ class TextTowerConfig:
     layers: int
     width: int
     heads: int
-    seq_len: int = 32
-    vocab_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -87,48 +86,31 @@ class EncoderConfig:
                 )
 
 
+# image (layers, width, heads, patch_size, image_size), text (layers,
+# width, heads) and embed_dim of each named geometry
+_PRESETS = {
+    "tiny": ((4, 64, 4, 8, 32), (2, 64, 4), 64),
+    "small": ((6, 96, 6, 8, 32), (3, 96, 6), 96),
+    "B-like": ((12, 768, 12, 16, 224), (12, 512, 8), 512),
+    "L-like": ((24, 1024, 16, 16, 224), (12, 768, 12), 768),
+    "H-like": ((32, 1280, 16, 14, 224), (24, 1024, 16), 1024),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> EncoderConfig:
     """Named encoder geometries.
 
     "B-like" / "L-like" / "H-like" mirror the standard CLIP-style ViT
     pairings (e.g. L: image 24x1024x16 at patch 16, text 12x768x12,
     embedding 768). "tiny" and "small" are desk-scale geometries for
-    32x32 inputs.
+    32x32 inputs. Every text tower takes the tokenizer's sequence length
+    and vocabulary.
     """
-    desk_vocab = len(default_vocab())
-    table = {
-        "tiny": EncoderConfig(
-            image=ImageTowerConfig(4, 64, 4, 8, 32),
-            text=TextTowerConfig(2, 64, 4, 32, desk_vocab),
-            embed_dim=64,
-        ),
-        "small": EncoderConfig(
-            image=ImageTowerConfig(6, 96, 6, 8, 32),
-            text=TextTowerConfig(3, 96, 6, 32, desk_vocab),
-            embed_dim=96,
-        ),
-        "B-like": EncoderConfig(
-            image=ImageTowerConfig(12, 768, 12, 16, 224),
-            text=TextTowerConfig(12, 512, 8, 32, 49408),
-            embed_dim=512,
-        ),
-        "L-like": EncoderConfig(
-            image=ImageTowerConfig(24, 1024, 16, 16, 224),
-            text=TextTowerConfig(12, 768, 12, 32, 49408),
-            embed_dim=768,
-        ),
-        "H-like": EncoderConfig(
-            image=ImageTowerConfig(32, 1280, 16, 14, 224),
-            text=TextTowerConfig(24, 1024, 16, 32, 49408),
-            embed_dim=1024,
-        ),
-    }
-    if name not in table:
-        raise ConfigError(f"unknown preset {name!r}, expected one of {sorted(table)}")
-    return table[name]
-
-
-PRESET_NAMES = ("tiny", "small", "B-like", "L-like", "H-like")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}, expected one of {sorted(_PRESETS)}")
+    image, text, embed_dim = _PRESETS[name]
+    return EncoderConfig(ImageTowerConfig(*image), TextTowerConfig(*text), embed_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +176,8 @@ def param_shapes(config: EncoderConfig, with_decoder: bool = False
     for i in range(img.layers):
         yield from _block_shapes(f"img/blk{i}", img.width)
     yield from {"img/ln_f/g": (img.width,), "img/ln_f/b": (img.width,),
-                "txt/tok_emb": (txt.vocab_size, txt.width),
-                "txt/pos": (txt.seq_len, txt.width)}.items()
+                "txt/tok_emb": (len(default_vocab()), txt.width),
+                "txt/pos": (SEQ_LEN, txt.width)}.items()
     for i in range(txt.layers):
         yield from _block_shapes(f"txt/blk{i}", txt.width)
     yield from {"txt/ln_f/g": (txt.width,), "txt/ln_f/b": (txt.width,),
@@ -323,8 +305,8 @@ def encode_text(
     """
     txt = config.text
     b, length = batch.token_ids.shape
-    if length != txt.seq_len:
-        raise DimensionError(f"sequence length {length} != configured {txt.seq_len}")
+    if length != SEQ_LEN:
+        raise DimensionError(f"sequence length {length} != the tokenizer's {SEQ_LEN}")
     if mask is None:
         mask = full_mask(length, b)
     check_mask(mask, b, length, "token")

@@ -182,7 +182,7 @@ def embed_texts(params, config: EncoderConfig, captions) -> np.ndarray:
     out = np.empty((len(captions), config.embed_dim), np.float32)
 
     def embed(lo, hi):
-        tokens = tokenize_batch(captions[lo:hi], seq_len=config.text.seq_len)
+        tokens = tokenize_batch(captions[lo:hi])
         pooled = encode_text(tokens, None, params, config)
         out[lo:hi] = project_and_normalize(pooled, params["proj/txt/w"]).data
 

@@ -8,10 +8,11 @@ included (about 0.5% of a large tower); token-embedding lookups and
 elementwise costs (layer norm, softmax, GELU, sub-1% at these widths)
 are not. All counts are per sample.
 
-The text tower is counted at ``visible_count(seq_len, ratio)`` tokens.
-That is an upper bound on what runs: ``encode_text`` computes only up
-to the longest visible valid (non-padding) prefix in the batch, so on
-short captions the measured text cost sits below this count.
+The text tower is counted at ``visible_count(tokenizer.SEQ_LEN, ratio)``
+tokens, the same length for every preset. That is an upper bound on what
+runs: ``encode_text`` computes only up to the longest visible valid
+(non-padding) prefix in the batch, so on short captions the measured
+text cost sits below this count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 from .encoders import EncoderConfig
 from .masking import visible_count
+from .tokenizer import SEQ_LEN
 
 
 @dataclass
@@ -29,7 +31,7 @@ class FlopReport:
 
     ``text_fraction`` is text-tower cost relative to the unmasked image
     tower, so it does not move with the image masking ratio.
-    ``text_flops`` counts ``visible_count(seq_len, text_mask_ratio)``
+    ``text_flops`` counts ``visible_count(SEQ_LEN, text_mask_ratio)``
     tokens, the upper bound: padding past a batch's longest visible
     valid prefix is never computed.
     """
@@ -62,7 +64,7 @@ def count_flops(
         return _tower_flops(img.layers, img.width, v) + 2 * v * img.patch_dim * img.width
 
     def text_flops(ratio: float) -> int:
-        return _tower_flops(txt.layers, txt.width, visible_count(txt.seq_len, ratio))
+        return _tower_flops(txt.layers, txt.width, visible_count(SEQ_LEN, ratio))
 
     image = image_flops(mask_ratio)
     text = text_flops(text_mask_ratio)

@@ -6,11 +6,12 @@ Captions are lowercased, whitespace-split, and each word is consumed by
 greedy longest-prefix matching against the vocabulary; anything that
 cannot be matched (not even as a single character) becomes UNK.
 
-Every sequence is padded or cut to a fixed length (32 by default).
+Every sequence is padded or cut to ``SEQ_LEN`` = 32 tokens.
 
-The packaged vocabulary is part of the model: its length is the desk
-presets' ``vocab_size`` (rows of ``txt/tok_emb``), so training and
-evaluation always tokenize with ``default_vocab()``.
+The tokenizer alone sets the text tower's input: ``SEQ_LEN`` is the
+rows of ``txt/pos`` and the length of the packaged vocabulary (230) is
+the rows of ``txt/tok_emb``, for every preset. No config field or
+parameter carries either number.
 """
 
 from __future__ import annotations
@@ -75,21 +76,21 @@ def _word_ids(word: str, vocab: Vocab) -> list[int]:
     return ids
 
 
-def tokenize(caption: str, seq_len: int = SEQ_LEN) -> np.ndarray:
-    """Token ids of a caption, padded or cut to exactly ``seq_len``."""
+def tokenize(caption: str) -> np.ndarray:
+    """Token ids of a caption, padded or cut to exactly ``SEQ_LEN``."""
     vocab = default_vocab()
     ids: list[int] = []
     for word in caption.lower().split():
         ids.extend(_word_ids(word, vocab))
-        if len(ids) >= seq_len:
+        if len(ids) >= SEQ_LEN:
             break
-    ids = ids[:seq_len]
-    ids.extend([PAD_ID] * (seq_len - len(ids)))
+    ids = ids[:SEQ_LEN]
+    ids.extend([PAD_ID] * (SEQ_LEN - len(ids)))
     return np.asarray(ids, dtype=np.int64)
 
 
-def tokenize_batch(captions, seq_len: int = SEQ_LEN) -> TokenizedBatch:
-    ids = np.stack([tokenize(c, seq_len) for c in captions])
+def tokenize_batch(captions) -> TokenizedBatch:
+    ids = np.stack([tokenize(c) for c in captions])
     is_pad = ids == PAD_ID
-    valid = np.where(is_pad.any(axis=1), is_pad.argmax(axis=1), seq_len).astype(np.int64)
+    valid = np.where(is_pad.any(axis=1), is_pad.argmax(axis=1), SEQ_LEN).astype(np.int64)
     return TokenizedBatch(token_ids=ids, valid_lengths=valid)

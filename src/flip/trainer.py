@@ -68,7 +68,7 @@ from .objective import (
     reconstruction_loss,
 )
 from .report import CURVE_HEADER, TIMING_HEADER, read_curve, read_timing, write_rows
-from .tokenizer import TokenizedBatch, tokenize_batch
+from .tokenizer import SEQ_LEN, TokenizedBatch, default_vocab, tokenize_batch
 
 logger = logging.getLogger(__name__)
 
@@ -438,7 +438,7 @@ def run_phase(
     if n < b:
         raise ConfigError(f"dataset of {n} samples is smaller than batch {b}")
     per_epoch = n // b
-    tokens = tokenize_batch(dataset.captions, seq_len=state.encoder_config.text.seq_len)
+    tokens = tokenize_batch(dataset.captions)
     perm_epoch, perm = -1, None
     for _ in range(n_steps):
         epoch, slot = divmod(state.step, per_epoch)
@@ -513,8 +513,10 @@ def unmasked_tune(
 def save_state(path, state: TrainState) -> None:
     enc = state.encoder_config
     tensors: dict[str, np.ndarray] = {}
+    # slots 8 and 9 hold the tokenizer's sequence length and vocabulary size
     tensors["meta/geometry"] = np.asarray(
-        astuple(enc.image) + astuple(enc.text) + (enc.embed_dim,), dtype=np.float32
+        astuple(enc.image) + astuple(enc.text) + (SEQ_LEN, len(default_vocab()), enc.embed_dim),
+        dtype=np.float32,
     )
     counters = []
     for value in (state.step, state.adam_t, state.samples_seen,
@@ -558,14 +560,18 @@ def _entries(tensors: dict, prefix: str, shapes, path) -> dict[str, np.ndarray]:
 def _load_checkpoint(path, keep: tuple[str, ...] | None = None
                      ) -> tuple[dict[str, np.ndarray], EncoderConfig, dict[str, Tensor]]:
     """The stored tensors that ``load_tensors`` keeps, the geometry and
-    the parameters of a checkpoint. The parameters must be exactly the
-    stored geometry's ``param_shapes``, with the decoder if the file
-    holds one."""
+    the parameters of a checkpoint. The geometry's text length and
+    vocabulary slots must hold the tokenizer's, and the parameters must be
+    exactly the stored geometry's ``param_shapes``, with the decoder if the
+    file holds one."""
     tensors = load_tensors(path, keep)
     vals = _meta(tensors, "geometry", 11, 1, path)
+    if vals[8:10] != [SEQ_LEN, len(default_vocab())]:
+        raise DataFormatError(f"{path}: stored geometry's text length and vocabulary {vals[8:10]} "
+                              f"are not the tokenizer's {[SEQ_LEN, len(default_vocab())]}")
     with_decoder = any(key.startswith("param/dec/") for key in tensors)
     try:
-        enc_cfg = EncoderConfig(ImageTowerConfig(*vals[:5]), TextTowerConfig(*vals[5:10]),
+        enc_cfg = EncoderConfig(ImageTowerConfig(*vals[:5]), TextTowerConfig(*vals[5:8]),
                                 vals[10])
         stored = _entries(tensors, "param/", param_shapes(enc_cfg, with_decoder), path)
     except ConfigError as e:

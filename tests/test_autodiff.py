@@ -813,7 +813,7 @@ class TestBranch:
     def test_work_goes_on_after_a_failed_branch(self, tmp_path, monkeypatch):
         ds = generate_dataset(64, 0, tmp_path / "d.flipds")
         config = trainer.TrainConfig(batch_size=32, warmup_samples=32, total_samples=64)
-        tokens = tokenize_batch(ds.captions[:32], seq_len=32)
+        tokens = tokenize_batch(ds.captions[:32])
 
         def step(state):
             return trainer.train_step(state, ds.images[:32], tokens, epoch=0,

@@ -88,6 +88,17 @@ class TestExitCodes:
                      "--task", "zero-shot"]) == 2
         assert "meta/geometry" in capsys.readouterr().err
 
+    def test_eval_on_foreign_text_slots_is_data_error(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "clip.ckpt"
+        save_state(ckpt, init_train_state(TrainConfig(batch_size=2, warmup_samples=0,
+                                                      total_samples=2)))
+        tensors = load_tensors(ckpt)
+        tensors["meta/geometry"][9] = 49408  # CLIP's vocabulary, which the tokenizer lacks
+        save_tensors(ckpt, tensors)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
+                     "--task", "zero-shot"]) == 2
+        assert "not the tokenizer's" in capsys.readouterr().err
+
     def test_train_with_malformed_value_is_usage_error(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text((workspace / "config.txt").read_text().replace(

@@ -21,7 +21,7 @@ from flip.encoders import (
 )
 from flip.errors import ConfigError, DimensionError
 from flip.masking import PatchMask, full_mask, sample_patch_mask, sample_text_mask
-from flip.tokenizer import TokenizedBatch, tokenize_batch
+from flip.tokenizer import SEQ_LEN, TokenizedBatch, tokenize_batch
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +102,13 @@ class TestEncoderConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(
                 image=ImageTowerConfig(2, 64, 4, 7, 32),
-                text=TextTowerConfig(2, 64, 4, 32, 100),
+                text=TextTowerConfig(2, 64, 4),
                 embed_dim=32,
             )
         with pytest.raises(ConfigError):
             EncoderConfig(
                 image=ImageTowerConfig(2, 65, 4, 8, 32),
-                text=TextTowerConfig(2, 64, 4, 32, 100),
+                text=TextTowerConfig(2, 64, 4),
                 embed_dim=32,
             )
 
@@ -271,7 +271,7 @@ class TestEncodeText:
         cfg, params = tiny
         batch = tokenize_batch(["", ""])
         out, widest = self._encode_on_tape(batch, None, params, cfg)
-        assert widest == cfg.text.seq_len
+        assert widest == SEQ_LEN
         assert np.isfinite(out).all()
 
     def test_pos_rows_past_longest_caption_get_no_gradient(self, tiny):
@@ -304,6 +304,6 @@ class TestEncodeText:
 
     def test_zero_row_batch(self, tiny):
         cfg, params = tiny
-        batch = TokenizedBatch(token_ids=np.zeros((0, cfg.text.seq_len), dtype=np.int64),
+        batch = TokenizedBatch(token_ids=np.zeros((0, SEQ_LEN), dtype=np.int64),
                                valid_lengths=np.zeros(0, dtype=np.int64))
         assert encode_text(batch, None, params, cfg).shape == (0, cfg.text.width)

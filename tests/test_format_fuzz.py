@@ -34,7 +34,7 @@ def files(tmp_path_factory):
     images = np.arange(2 * 4 * 4 * 3, dtype=np.uint8).reshape(2, 4, 4, 3)
     write_dataset(root / "ds.flipds", Dataset(images=images, captions=["a red circle", "é"]))
     # a small geometry keeps each load cheap
-    geometry = EncoderConfig(ImageTowerConfig(1, 8, 2, 4, 8), TextTowerConfig(1, 8, 2, 4, 6), 8)
+    geometry = EncoderConfig(ImageTowerConfig(1, 8, 2, 4, 8), TextTowerConfig(1, 8, 2), 8)
     params = init_params(geometry, seed=0, with_decoder=True)
     save_state(root / "ck.ckpt", TrainState(
         config=TrainConfig(batch_size=2, warmup_samples=0, total_samples=2),

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from flip.encoders import preset
+from flip.encoders import PRESET_NAMES, param_shapes, preset
 from flip.tokenizer import (
     PAD_ID,
     SEQ_LEN,
@@ -39,7 +39,11 @@ def test_packaged_vocabulary_is_the_presets():
     vocab = default_vocab()
     assert vocab.tokens[PAD_ID] == "<pad>" and vocab.tokens[UNK_ID] == "<unk>"
     assert all(vocab.index[t] == i for i, t in enumerate(vocab.tokens))
-    assert len(vocab) == preset("tiny").text.vocab_size == preset("small").text.vocab_size
+    assert len(vocab) == 230
+    for name in PRESET_NAMES:  # every text tower takes the tokenizer's tables
+        shapes, width = dict(param_shapes(preset(name))), preset(name).text.width
+        assert shapes["txt/tok_emb"] == (len(vocab), width)
+        assert shapes["txt/pos"] == (SEQ_LEN, width)
 
 
 def test_greedy_longest_match_splits_unknown_words():

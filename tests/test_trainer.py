@@ -57,7 +57,7 @@ def first_step(state, images, captions):
     """``train_step`` on samples 0..b-1 of epoch 0, at the config's mask
     ratio and its schedule's lr after one batch."""
     b = len(captions)
-    return train_step(state, images, tokenize_batch(captions, seq_len=32), epoch=0,
+    return train_step(state, images, tokenize_batch(captions), epoch=0,
                       sample_indices=np.arange(b), lr=lr_at(b, state.config),
                       mask_ratio=state.config.mask_ratio)
 
@@ -410,19 +410,23 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(DataFormatError):
             load_encoder(path)
 
-    @pytest.mark.parametrize("geometry", [
-        [4, 64, 4, 8, 32, 2, 64, 4, 32, 100],  # 10 values
-        [4, 64, 4, 8, 32, 2, 64, 4, 32, 100, 0.5],  # not an integer
-        [4, 64, 4, 8, 32, 2, 64, -4, 32, 100, 64],  # not positive
-        [4, 64, 5, 8, 32, 2, 64, 4, 32, 100, 64],  # 5 heads do not divide width 64
-        [2**24, 64, 4, 8, 32, 2**24, 64, 4, 32, 100, 64],  # far more layers than stored
-    ], ids=["short", "fraction", "negative", "heads", "huge"])
-    def test_checkpoint_rejects_bad_geometry(self, tmp_path, geometry):
+    @pytest.mark.parametrize("geometry, reason", [
+        ([4, 64, 4, 8, 32, 2, 64, 4, 32, 230], "not 11 integers"),  # 10 values
+        ([4, 64, 4, 8, 32, 2, 64, 4, 32, 230, 0.5], "not 11 integers"),  # not an integer
+        ([4, 64, 4, 8, 32, 2, 64, -4, 32, 230, 64], "not 11 integers"),  # not positive
+        ([4, 64, 5, 8, 32, 2, 64, 4, 32, 230, 64], "not divisible by heads"),
+        # far more layers than stored: the walk stops at the first missing entry
+        ([2**24, 64, 4, 8, 32, 2**24, 64, 4, 32, 230, 64], "absent"),
+        ([4, 64, 4, 8, 32, 2, 64, 4, 4, 6, 64], "not the tokenizer's"),  # text slots
+        ([4, 64, 4, 8, 32, 2, 64, 4, 32, 49408, 64], "not the tokenizer's"),
+    ], ids=["short", "fraction", "negative", "heads", "huge", "text-4-6", "text-32-49408"])
+    def test_checkpoint_rejects_bad_geometry(self, tmp_path, geometry, reason):
         path = tmp_path / "geom.ckpt"
         save_tensors(path, {"meta/geometry": np.array(geometry, dtype=np.float32),
                             "param/w": np.zeros(2)})
-        with pytest.raises(DataFormatError, match="geometry"):
+        with pytest.raises(DataFormatError, match="geometry") as info:
             load_encoder(path)
+        assert reason in str(info.value)
 
     def test_checkpoint_rejects_non_utf8_name(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -482,6 +486,9 @@ class TestDeterminismAndCheckpoints:
         state = init_train_state(desk_config(warmup_samples=0, total_samples=64))
         pretrain(state, tiny_dataset)
         save_state(tmp_path / "x.ckpt", state)
+        # the 11 slots: image tower, text tower, the tokenizer's length and vocabulary, embedding
+        geometry = load_tensors(tmp_path / "x.ckpt")["meta/geometry"]
+        assert geometry.tolist() == [4, 64, 4, 8, 32, 2, 64, 4, 32, 230, 64]
         params, enc_cfg = load_encoder(tmp_path / "x.ckpt")
         assert enc_cfg == state.encoder_config
         assert params.keys() == state.params.keys()
@@ -533,7 +540,7 @@ class TestParameterArena:
     def test_prioritized_text_mask_trains_like_none_on_desk_captions(self, tiny_dataset):
         # at ratio 0.5, 16 of 32 tokens stay visible and desk captions hold
         # at most 7 valid ones, so prioritized masking hides only padding
-        assert tokenize_batch(tiny_dataset.captions, seq_len=32).valid_lengths.max() <= 16
+        assert tokenize_batch(tiny_dataset.captions).valid_lengths.max() <= 16
         digests = []
         for ratio in (0.5, 0.0):
             state = init_train_state(desk_config(text_mask_policy="prioritized",
