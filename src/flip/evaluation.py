@@ -41,7 +41,8 @@ from .autodiff import on_worker
 from .data import CLASS_NAMES, Dataset
 from .encoders import EncoderConfig, check_mask, encode_image, encode_text, patchify
 from .errors import ConfigError
-from .masking import TAG_EVAL, PatchMask, complementary_views, per_sample_rng, sample_patch_mask
+from .masking import (TAG_EVAL, PatchMask, complementary_views, per_sample_rng,
+                      sample_patch_mask, view_count)
 from .objective import project_and_normalize
 from .tokenizer import tokenize_batch
 
@@ -301,8 +302,6 @@ def linear_probe(
         perm = rng.permutation(n_train)
         for s in range(steps_per_epoch):
             idx = perm[s * PROBE_BATCH : (s + 1) * PROBE_BATCH]
-            if idx.size == 0:
-                continue
             xb = x_tr[idx]
             logits = xb @ w + b
             logits -= logits.max(axis=1, keepdims=True)
@@ -344,11 +343,13 @@ def eval_inference_modes(
     Full view encodes intact images; masked draws one random mask per
     image; ensemble encodes the complementary views of a per-image
     partition and averages the normalized embeddings, re-normalizing
-    the mean.
+    the mean. A ratio without a whole view count is refused before any
+    embedding.
     """
     prompts = prompts or desk_prompts()
     n = len(dataset)
     n_patches = config.image.num_patches
+    view_count(n_patches, ratio)
     class_emb = class_embeddings(prompts.classes, prompts, params, config)
     labels = dataset.labels
     cfg_hash = config_hash(config, ratio, seed, "modes")

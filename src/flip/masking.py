@@ -181,14 +181,9 @@ def text_masks_for_samples(batch: TokenizedBatch, ratio: float, policy: str,
         global_seed, TAG_TEXT_MASK, epoch, sample_indices, batch.seq_len))
 
 
-def complementary_views(
-    n: int, ratio: float, rng: np.random.Generator, batch_size: int = 1
-) -> list[PatchMask]:
-    """Disjoint equal-size visible sets that together cover all n positions.
-
-    Needs 1/(1-ratio) to be an integer k dividing n (k views): ratio 0.5
-    gives 2 views, 0.75 gives 4.
-    """
+def view_count(n: int, ratio: float) -> int:
+    """The number k of complementary views at ``ratio``: 1/(1-ratio) must
+    be an integer that divides n. Ratio 0.5 gives 2 views, 0.75 gives 4."""
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"mask ratio must be in [0, 1), got {ratio}")
     k_float = 1.0 / (1.0 - ratio)
@@ -197,6 +192,15 @@ def complementary_views(
         raise ConfigError(f"ratio {ratio} does not yield an integer view count (1/(1-r)={k_float:.4f})")
     if n % k != 0:
         raise ConfigError(f"{k} views do not evenly partition {n} positions")
+    return k
+
+
+def complementary_views(
+    n: int, ratio: float, rng: np.random.Generator, batch_size: int = 1
+) -> list[PatchMask]:
+    """``view_count(n, ratio)`` disjoint equal-size visible sets that
+    together cover all n positions."""
+    k = view_count(n, ratio)
     m = n // k
     order = np.argsort(rng.random((batch_size, n)), axis=1, kind="stable")
     return [_split(order, j * m, (j + 1) * m, ratio) for j in range(k)]

@@ -59,6 +59,7 @@ from .masking import (
     patch_masks_for_samples,
     per_sample_rng,
     text_masks_for_samples,
+    visible_count,
 )
 from .objective import (
     LOG_MAX_LOGIT_SCALE,
@@ -107,9 +108,13 @@ class TrainConfig:
                 f"total_samples {self.total_samples} < warmup_samples {self.warmup_samples}"
             )
         check_policy(self.text_mask_policy)
-        for name in ("mask_ratio", "text_mask_ratio"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        # a ratio must leave a position visible; an unknown preset is refused here too
+        n_patches = preset(self.preset).image.num_patches
+        for name, n in (("mask_ratio", n_patches), ("text_mask_ratio", SEQ_LEN)):
+            try:
+                visible_count(n, getattr(self, name))
+            except ConfigError as e:
+                raise ConfigError(f"{name}: {e}") from None
         for name in ("base_lr", "weight_decay", "rec_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):

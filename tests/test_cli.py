@@ -60,7 +60,9 @@ class TestExitCodes:
         (lambda raw: raw + b"\x00", "1 trailing bytes"),
         (lambda raw: raw[:-1], "truncated caption in record 0"),
         (lambda raw: raw[:-100], "header claims 1 records"),
-    ], ids=["trailing", "truncated", "over-claiming"])
+        # the one record's caption cut to length 0, after the 17-byte header and 32x32x3 pixels
+        (lambda raw: raw[:17 + 3072] + b"\x00\x00", "empty caption in record 0"),
+    ], ids=["trailing", "truncated", "over-claiming", "empty-caption"])
     def test_eval_on_damaged_dataset_is_data_error(self, tmp_path, capsys, damage, message):
         cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
         save_state(tmp_path / "init.ckpt", init_train_state(cfg))
@@ -107,6 +109,19 @@ class TestExitCodes:
         assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
         assert "'batch_size'" in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("mask_ratio", "0.97"), ("text_mask_ratio", "0.99"), ("preset", "giant")])
+    def test_train_refuses_a_config_before_writing(self, workspace, tmp_path, capsys, key,
+                                                   value):
+        config = tmp_path / "config.txt"
+        lines = (workspace / "config.txt").read_text().splitlines()
+        config.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                                    for line in lines) + "\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_eval_on_empty_dataset_is_data_error(self, tmp_path, capsys):
         cfg = TrainConfig(batch_size=2, warmup_samples=0, total_samples=2)
@@ -304,6 +319,14 @@ class TestTrainEvalRoundTrip:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert [l["mode"] for l in lines] == ["full", "masked", "ensemble"]
 
+    def test_eval_modes_refuses_a_ratio_without_view_count(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "init.ckpt"
+        save_state(ckpt, init_train_state(TrainConfig(batch_size=2, warmup_samples=0,
+                                                      total_samples=2)))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
+                     "--task", "modes", "--mask-ratio", "0.6"]) == 1
+        assert "integer view count" in capsys.readouterr().err
+
     def test_linear_probe_task(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "run_probe"
         main(["train", "--config", str(workspace / "config.txt"), "--out-dir", str(out_dir)])
@@ -413,8 +436,10 @@ class TestReport:
          ("64,zero_shot_acc,nan", "64,1.5", "curve.csv:2"),
          ("64,zero_shot_acc,0.5\n128,zero_shot_acc,inf", "64,1.5", "curve.csv:3"),
          ("64,zero_shot_acc,0.5", "64,-1.5", "timing.csv:2"),
-         ("64,zero_shot_acc,0.5", "64,1.5\n64,2.5", "timing.csv:3")],
-        ids=["negative-samples", "nan", "inf", "negative-seconds", "repeated-timing-sample"],
+         ("64,zero_shot_acc,0.5", "64,1.5\n64,2.5", "timing.csv:3"),
+         ("64,zero_shot_acc,0.5", "-64,1.5", "timing.csv:2")],
+        ids=["negative-samples", "nan", "inf", "negative-seconds", "repeated-timing-sample",
+             "negative-timing-samples"],
     )
     def test_impossible_row_is_data_error(self, tmp_path, capsys, curve_rows, timing_rows,
                                           where):

@@ -140,6 +140,12 @@ class TestContainer:
             write_dataset(tmp_path / "x.flipds", ds)
         assert not (tmp_path / "x.flipds").exists()
 
+    def test_caption_count_mismatch_rejected_on_write(self, tmp_path):
+        ds = Dataset(images=np.zeros((2, 32, 32, 3), dtype=np.uint8), captions=["a red circle"])
+        with pytest.raises(DataFormatError, match="2 images but 1 captions"):
+            write_dataset(tmp_path / "x.flipds", ds)
+        assert not (tmp_path / "x.flipds").exists()
+
     def test_zero_records_rejected_on_read(self, tmp_path):
         path = tmp_path / "empty.flipds"
         path.write_bytes(MAGIC + struct.pack("<IHHB", 0, 32, 32, 3))

@@ -302,6 +302,14 @@ class TestEncodeText:
         assert np.isfinite(permuted).all()
         assert np.allclose(base, permuted, atol=1e-5)
 
+    @pytest.mark.parametrize("width", [SEQ_LEN - 1, SEQ_LEN + 1])
+    def test_batch_width_must_be_the_tokenizers(self, tiny, width):
+        cfg, params = tiny
+        batch = TokenizedBatch(token_ids=np.ones((2, width), dtype=np.int64),
+                               valid_lengths=np.full(2, width, dtype=np.int64))
+        with pytest.raises(DimensionError, match=f"length {width} != the tokenizer's {SEQ_LEN}"):
+            encode_text(batch, None, params, cfg)
+
     def test_zero_row_batch(self, tiny):
         cfg, params = tiny
         batch = TokenizedBatch(token_ids=np.zeros((0, SEQ_LEN), dtype=np.int64),

@@ -464,6 +464,16 @@ class TestInferenceModes:
             assert 0.0 <= r.value <= 1.0
             assert r.metric == "zero_shot_acc"
 
+    @pytest.mark.parametrize("ratio", [0.6, 0.97])
+    def test_ratio_refused_before_any_embedding(self, tiny, small_dataset, monkeypatch, ratio):
+        cfg, params = tiny
+        calls = []
+        for name in ("embed_images", "class_embeddings"):
+            monkeypatch.setattr(evaluation, name, lambda *a, name=name, **k: calls.append(name))
+        with pytest.raises(ConfigError, match="integer view count"):
+            eval_inference_modes(params, cfg, small_dataset, ratio=ratio)
+        assert calls == []
+
     def test_report_json_fields(self):
         rep = EvalReport(metric="zero_shot_acc", value=0.5, mode="full", config="abc")
         import json

@@ -1,6 +1,7 @@
 """Mask sampling invariants: counts, uniqueness, partitions, and the
 prioritized text policy."""
 
+import re
 import warnings
 
 import numpy as np
@@ -83,6 +84,14 @@ class TestComplementaryViews:
     def test_non_integer_view_count_rejected(self):
         with pytest.raises(ConfigError):
             masking.complementary_views(16, 0.6, np.random.default_rng(0))
+
+    def test_view_count(self):
+        for n, ratio, k in ((16, 0.0, 1), (16, 0.5, 2), (196, 0.75, 4)):
+            assert masking.view_count(n, ratio) == k
+        for n, ratio, message in ((16, 0.6, "integer view count"), (16, 0.97, "integer view count"),
+                                  (10, 0.75, "do not evenly partition"), (16, 1.0, "[0, 1)")):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                masking.view_count(n, ratio)
 
     def test_ratio_zero_single_view(self):
         views = masking.complementary_views(16, 0.0, np.random.default_rng(0))

@@ -132,6 +132,12 @@ class TestConfig:
             for bad in (-0.1, 1.0, 1.5):
                 with pytest.raises(ConfigError, match=field):
                     TrainConfig(**{field: bad})
+        # 0.97 of 16 patches and 0.99 of 32 tokens both round to no visible position
+        for field, bad in (("mask_ratio", 0.97), ("text_mask_ratio", 0.99)):
+            with pytest.raises(ConfigError, match=f"{field}: .*leaves no visible positions"):
+                TrainConfig(**{field: bad})
+        with pytest.raises(ConfigError, match="unknown preset"):
+            TrainConfig(preset="giant")
         with pytest.raises(ConfigError, match="eval_every_samples"):
             TrainConfig(eval_every_samples=-64)
         with pytest.raises(ConfigError, match="warmup_samples"):
@@ -427,6 +433,14 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(DataFormatError, match="geometry") as info:
             load_encoder(path)
         assert reason in str(info.value)
+
+    def test_checkpoint_rejects_unsupported_version(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_tensors(path, {"param/w": np.zeros(2)})
+        raw = path.read_bytes()  # the u32 version follows the 8-byte magic
+        path.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:])
+        with pytest.raises(DataFormatError, match="unsupported checkpoint version 2"):
+            load_tensors(path)
 
     def test_checkpoint_rejects_non_utf8_name(self, tmp_path):
         path = tmp_path / "x.ckpt"
