@@ -104,8 +104,7 @@ def preset(name: str) -> EncoderConfig:
     "B-like" / "L-like" / "H-like" mirror the standard CLIP-style ViT
     pairings (e.g. L: image 24x1024x16 at patch 16, text 12x768x12,
     embedding 768). "tiny" and "small" are desk-scale geometries for
-    32x32 inputs. Every text tower takes the tokenizer's sequence length
-    and vocabulary.
+    32x32 inputs.
     """
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of {sorted(_PRESETS)}")

@@ -8,11 +8,10 @@ included (about 0.5% of a large tower); token-embedding lookups and
 elementwise costs (layer norm, softmax, GELU, sub-1% at these widths)
 are not. All counts are per sample.
 
-The text tower is counted at ``visible_count(tokenizer.SEQ_LEN, ratio)``
-tokens, the same length for every preset. That is an upper bound on what
-runs: ``encode_text`` computes only up to the longest visible valid
-(non-padding) prefix in the batch, so on short captions the measured
-text cost sits below this count.
+The text tower is counted at ``visible_count(SEQ_LEN, ratio)`` tokens.
+That is an upper bound on what runs: ``encode_text`` computes only up
+to the longest visible valid (non-padding) prefix in the batch, so on
+short captions the measured text cost sits below this count.
 """
 
 from __future__ import annotations

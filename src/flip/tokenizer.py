@@ -8,10 +8,9 @@ cannot be matched (not even as a single character) becomes UNK.
 
 Every sequence is padded or cut to ``SEQ_LEN`` = 32 tokens.
 
-The tokenizer alone sets the text tower's input: ``SEQ_LEN`` is the
-rows of ``txt/pos`` and the length of the packaged vocabulary (230) is
-the rows of ``txt/tok_emb``, for every preset. No config field or
-parameter carries either number.
+The tokenizer alone sizes the text tower's tables in every preset:
+``SEQ_LEN`` rows of ``txt/pos`` and one ``txt/tok_emb`` row per entry of
+the packaged vocabulary (230). No config field or parameter holds either.
 """
 
 from __future__ import annotations

@@ -518,10 +518,9 @@ def unmasked_tune(
 def save_state(path, state: TrainState) -> None:
     enc = state.encoder_config
     tensors: dict[str, np.ndarray] = {}
-    # slots 8 and 9 hold the tokenizer's sequence length and vocabulary size
+    text = astuple(enc.text) + (SEQ_LEN, len(default_vocab()))  # slots 8, 9: the tokenizer's
     tensors["meta/geometry"] = np.asarray(
-        astuple(enc.image) + astuple(enc.text) + (SEQ_LEN, len(default_vocab()), enc.embed_dim),
-        dtype=np.float32,
+        astuple(enc.image) + text + (enc.embed_dim,), dtype=np.float32
     )
     counters = []
     for value in (state.step, state.adam_t, state.samples_seen,

@@ -101,6 +101,14 @@ class TestExitCodes:
                      "--task", "zero-shot"]) == 2
         assert "not the tokenizer's" in capsys.readouterr().err
 
+    def test_eval_modes_refuses_a_ratio_without_view_count(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "init.ckpt"
+        save_state(ckpt, init_train_state(TrainConfig(batch_size=2, warmup_samples=0,
+                                                      total_samples=2)))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
+                     "--task", "modes", "--mask-ratio", "0.6"]) == 1
+        assert "integer view count" in capsys.readouterr().err
+
     def test_train_with_malformed_value_is_usage_error(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text((workspace / "config.txt").read_text().replace(
@@ -318,14 +326,6 @@ class TestTrainEvalRoundTrip:
                      "--mask-ratio", "0.5"]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert [l["mode"] for l in lines] == ["full", "masked", "ensemble"]
-
-    def test_eval_modes_refuses_a_ratio_without_view_count(self, workspace, tmp_path, capsys):
-        ckpt = tmp_path / "init.ckpt"
-        save_state(ckpt, init_train_state(TrainConfig(batch_size=2, warmup_samples=0,
-                                                      total_samples=2)))
-        assert main(["eval", "--ckpt", str(ckpt), "--data", str(workspace / "eval.flipds"),
-                     "--task", "modes", "--mask-ratio", "0.6"]) == 1
-        assert "integer view count" in capsys.readouterr().err
 
     def test_linear_probe_task(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "run_probe"
